@@ -139,6 +139,7 @@ type Engine struct {
 	bitmap  *hw.Bitmap
 	arbiter *hw.RoundRobinArbiter
 	finder  *hw.MaxFinder // only for the LongestQueue ablation
+	lens    []int         // finder input, reused across passes
 
 	tokens     float64
 	lastRefill sim.Time
@@ -162,6 +163,7 @@ func NewEngine(tm TM, cfg Config) *Engine {
 	}
 	if cfg.Victim == LongestQueue {
 		e.finder = hw.NewMaxFinder(n, 32)
+		e.lens = make([]int, n)
 	}
 	return e
 }
@@ -228,7 +230,10 @@ func (e *Engine) Kick() {
 func (e *Engine) refreshBitmap() bool {
 	any := false
 	for q := 0; q < e.tm.NumQueues(); q++ {
-		over := e.tm.QueueLen(q) > e.tm.Threshold(q)
+		// Thresholds are never negative, so an empty queue is never
+		// over and its threshold need not be computed.
+		qlen := e.tm.QueueLen(q)
+		over := qlen > 0 && qlen > e.tm.Threshold(q)
 		e.bitmap.Assign(q, over)
 		any = any || over
 	}
@@ -239,9 +244,10 @@ func (e *Engine) refreshBitmap() bool {
 func (e *Engine) victim() (int, bool) {
 	if e.cfg.Victim == LongestQueue {
 		// Longest among over-allocated queues, via the comparator tree.
-		vals := make([]int, e.tm.NumQueues())
+		vals := e.lens
 		anySet := false
 		for q := range vals {
+			vals[q] = 0
 			if e.bitmap.Get(q) {
 				vals[q] = e.tm.QueueLen(q)
 				anySet = true

@@ -23,6 +23,7 @@ type Host struct {
 	prop    sim.Duration
 	sink    func(*pkt.Packet) // toward the first-hop switch
 	pool    *pkt.Pool         // engine-wide packet freelist (may be nil)
+	pktIDs  *uint64           // packet-ID counter, the network's once joined
 
 	// The NIC serves strict-priority transmit queues (priority 0
 	// first), mirroring the multi-queue hosts of the paper's testbed.
@@ -36,12 +37,16 @@ const maxHostPrios = 8
 
 // NewHost builds a host; Wire must attach it to a switch before traffic.
 func NewHost(eng *sim.Engine, id pkt.NodeID) *Host {
-	return &Host{ID: id, eng: eng, handlers: make(map[uint64]transport.Handler)}
+	return &Host{ID: id, eng: eng, pktIDs: new(uint64), handlers: make(map[uint64]transport.Handler)}
 }
 
-// UsePool installs the engine-wide packet freelist: NewPacket draws from
-// it and Deliver recycles consumed packets into it.
-func (h *Host) UsePool(pool *pkt.Pool) { h.pool = pool }
+// join makes h part of net: NewPacket draws from the network's packet
+// freelist and ID counter, and Deliver recycles consumed packets into
+// the freelist.
+func (h *Host) join(net *Network) {
+	h.pool = net.Pool
+	h.pktIDs = &net.pktIDs
+}
 
 // Wire attaches the host's NIC to its first-hop link.
 func (h *Host) Wire(rateBps float64, prop sim.Duration, sink func(*pkt.Packet)) {
@@ -56,21 +61,24 @@ func (h *Host) Wire(rateBps float64, prop sim.Duration, sink func(*pkt.Packet)) 
 // Now implements transport.Net.
 func (h *Host) Now() sim.Time { return h.eng.Now() }
 
-// After implements transport.Net.
-func (h *Host) After(d sim.Duration, fn func()) { h.eng.After(d, fn) }
-
-// AfterTimer implements transport.Net.
-func (h *Host) AfterTimer(d sim.Duration, fn func()) sim.Timer {
-	return h.eng.AfterTimer(d, fn)
+// ResetTimer implements transport.Net.
+func (h *Host) ResetTimer(t sim.Timer, d sim.Duration, fn func()) sim.Timer {
+	return h.eng.ResetTimer(t, d, fn)
 }
 
 // NewPacket implements transport.Net: a zeroed packet from the network
-// freelist (or the heap when no pool is installed).
+// freelist (or the heap when the host joined no network), stamped with
+// the next packet ID.
 func (h *Host) NewPacket() *pkt.Packet {
+	var p *pkt.Packet
 	if h.pool != nil {
-		return h.pool.Get()
+		p = h.pool.Get()
+	} else {
+		p = &pkt.Packet{}
 	}
-	return &pkt.Packet{}
+	*h.pktIDs++
+	p.ID = *h.pktIDs
+	return p
 }
 
 // Send implements transport.Net: enqueue on the NIC and serialize.

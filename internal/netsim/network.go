@@ -8,7 +8,8 @@ import (
 	"occamy/internal/transport"
 )
 
-// Network bundles an engine, hosts, and switches, and hands out flow IDs.
+// Network bundles an engine, hosts, and switches, and hands out flow and
+// packet IDs.
 type Network struct {
 	Eng      *sim.Engine
 	Rand     *sim.Rand
@@ -21,6 +22,7 @@ type Network struct {
 	Faults *linkfault.Plan
 
 	nextFlow uint64
+	pktIDs   uint64 // last packet ID handed out by a host's NewPacket
 }
 
 // NewFlowID returns a fresh unique flow identifier.

@@ -61,6 +61,9 @@ type Result struct {
 	FaultLinks []linkfault.LinkStats
 	// Events is the number of simulator events executed.
 	Events uint64
+	// EngineStats is the event queue's housekeeping (canceled-timer
+	// pops, re-queues, peak pending). It is left out of ResultDoc.
+	EngineStats sim.Stats
 }
 
 // AccountingDrift returns the packet-conservation residue summed over
@@ -637,4 +640,5 @@ func finishResult(res *Result, switches []*switchsim.Switch, recs []*switchsim.R
 		res.SampleTimes = recs[0].Times
 	}
 	res.Events = eng.Processed()
+	res.EngineStats = eng.Stats()
 }

@@ -31,6 +31,24 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineTimerRearm measures the re-arm pattern of the
+// transport RTO: many pending timers, each pushed back on every ACK,
+// with the clock advancing so stale entries reach the top and re-queue.
+func BenchmarkEngineTimerRearm(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	var timers [256]Timer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := i & (len(timers) - 1)
+		timers[k] = e.ResetTimer(timers[k], 1000, fn)
+		if k == len(timers)-1 {
+			e.RunFor(10)
+		}
+	}
+	e.Run()
+}
+
 type benchHandler struct{ n int }
 
 func (h *benchHandler) OnEvent(any) { h.n++ }

@@ -19,20 +19,27 @@
 //
 // Events come in two flavors:
 //
-//   - Closure events (At/After/AfterTimer/Every): the event carries a
-//     func(). Convenient, but each distinct capture allocates a closure
-//     at the call site.
+//   - Closure events (At/After/AfterTimer/ResetTimer/Every): the event
+//     carries a func(). Convenient, but each distinct capture allocates
+//     a closure at the call site.
 //   - Typed events (AtEvent/AfterEvent): the event carries a Handler
 //     interface plus an opaque arg. Hot paths (switch ports, host NICs)
 //     implement Handler once and schedule with zero allocations —
 //     storing a pointer in an `any` does not allocate.
 //
-// Timer cancellation uses generation counters instead of a *bool per
-// timer: the engine keeps a freelist of timer slots, each with a
-// generation that is bumped when the slot's event is consumed. A Timer
-// handle is a value (slot index + generation); Stop is valid only while
-// the generations match, so handles held after firing or slot reuse
-// harmlessly report false. Arming a timer performs no heap allocation.
+// Timers live in a freelist of engine slots; a Timer handle is a value
+// (slot index + generation), so arming one performs no heap allocation.
+// The generation is bumped whenever the slot's heap entry is consumed or
+// the timer is re-armed, so Stop on a handle held after firing, slot
+// reuse or a re-arm harmlessly reports false. Stop cancels lazily: the
+// dead entry stays in the heap until its deadline and is then consumed
+// without running. A timer that is pushed back again and again — the
+// transport RTO, re-armed on every ACK — uses ResetTimer instead, which
+// keeps its one heap entry: the slot records the timer's current
+// (timestamp, seq) key, and when the entry reaches the top of the heap
+// under an older key it is re-pushed under the current one. Every event
+// popped before that sorts before the new key, so the firing order is
+// exactly that of Stop + AfterTimer, without the dead entries.
 package sim
 
 import (
@@ -137,11 +144,32 @@ func evLess(a, b *event) bool {
 }
 
 // timerSlot is the engine-side state of one cancelable timer. Slots are
-// recycled through a freelist once their event is consumed; gen
-// invalidates stale Timer handles across reuses.
+// recycled through a freelist once their heap entry is consumed; gen
+// invalidates stale Timer handles across reuses and re-arms. (at, seq)
+// is the timer's current deadline key and heapAt the timestamp of its
+// one heap entry; the entry's key lags (at, seq) after an in-place
+// ResetTimer until it reaches the top of the heap, and fn holds the
+// re-armed callback until the entry is re-pushed with it.
 type timerSlot struct {
 	gen      uint64
+	at       Time
+	seq      uint64
+	heapAt   Time
+	fn       func()
 	canceled bool
+}
+
+// Stats counts the engine's queue housekeeping: heap work that runs no
+// event. The counts are a deterministic function of the schedule.
+type Stats struct {
+	// CanceledPops counts heap entries of stopped timers consumed
+	// without running.
+	CanceledPops uint64
+	// Requeues counts entries of timers re-armed in place that reached
+	// the top of the heap under an older key and were re-pushed.
+	Requeues uint64
+	// PeakPending is the largest number of heap entries held at once.
+	PeakPending int
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe
@@ -157,6 +185,8 @@ type Engine struct {
 
 	slots     []timerSlot
 	freeSlots []int32
+
+	stats Stats
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -173,6 +203,9 @@ func (e *Engine) Pending() int { return len(e.events) }
 // Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
+// Stats returns the queue housekeeping counters.
+func (e *Engine) Stats() Stats { return e.stats }
+
 // --- 4-ary heap ------------------------------------------------------------
 
 // push appends ev and restores the heap property by sifting up.
@@ -180,6 +213,9 @@ func (e *Engine) push(ev event) {
 	e.events = append(e.events, ev)
 	s := e.events
 	i := len(s) - 1
+	if i >= e.stats.PeakPending {
+		e.stats.PeakPending = i + 1
+	}
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !evLess(&ev, &s[p]) {
@@ -311,13 +347,37 @@ func (e *Engine) AfterTimer(d Duration, fn func()) Timer {
 		e.slots = append(e.slots, timerSlot{})
 		si = int32(len(e.slots) - 1)
 	}
-	sl := &e.slots[si]
-	sl.gen++
-	sl.canceled = false
 	at := e.now + d
 	e.seq++
+	sl := &e.slots[si]
+	sl.gen++
+	sl.at, sl.seq, sl.heapAt, sl.canceled = at, e.seq, at, false
 	e.push(event{at: at, seq: e.seq, fn: fn, slot: si + 1})
 	return Timer{e: e, slot: si, gen: sl.gen, at: at}
+}
+
+// ResetTimer re-arms t to run fn after d and returns the handle that
+// replaces t; t itself goes stale. Events fire exactly as after
+// t.Stop() followed by AfterTimer(d, fn), but while t is pending and
+// the new deadline is not before its heap entry's, the timer keeps that
+// entry and only its slot's key moves — no dead entry is left behind.
+// A fired or zero t, a reused slot, or an earlier deadline falls back to
+// Stop + AfterTimer.
+func (e *Engine) ResetTimer(t Timer, d Duration, fn func()) Timer {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %d", int64(d)))
+	}
+	if t.e == e {
+		sl := &e.slots[t.slot]
+		if at := e.now + d; sl.gen == t.gen && at >= sl.heapAt {
+			e.seq++
+			sl.gen++
+			sl.at, sl.seq, sl.fn, sl.canceled = at, e.seq, fn, false
+			return Timer{e: e, slot: t.slot, gen: sl.gen, at: at}
+		}
+	}
+	t.Stop()
+	return e.AfterTimer(d, fn)
 }
 
 // Stop halts Run/RunUntil after the currently executing event returns.
@@ -333,20 +393,33 @@ func (e *Engine) step(limit Time) bool {
 		return false
 	}
 	ev := e.pop()
-	e.now = ev.at
 	if ev.slot > 0 {
 		sl := &e.slots[ev.slot-1]
+		if ev.seq != sl.seq && !sl.canceled {
+			// Re-armed in place since this entry was pushed: move it to
+			// the timer's current key. The clock stays put and nothing
+			// runs — the entry is not an event of its own.
+			e.stats.Requeues++
+			sl.heapAt = sl.at
+			e.push(event{at: sl.at, seq: sl.seq, fn: sl.fn, slot: ev.slot})
+			sl.fn = nil
+			return true
+		}
 		canceled := sl.canceled
-		// Consuming the event retires the slot: bump the generation so a
+		// Consuming the entry retires the slot: bump the generation so a
 		// later Stop (including from inside the callback) reports false,
 		// then recycle the slot.
 		sl.gen++
 		sl.canceled = false
 		e.freeSlots = append(e.freeSlots, ev.slot-1)
 		if canceled {
+			sl.fn = nil // set if it was re-armed in place before Stop
+			e.now = ev.at
+			e.stats.CanceledPops++
 			return true // canceled timer: consume silently
 		}
 	}
+	e.now = ev.at
 	e.processed++
 	if ev.h != nil {
 		ev.h.OnEvent(ev.arg)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -262,8 +263,10 @@ func TestSchedulingDoesNotAllocate(t *testing.T) {
 		e.AtEvent(Time(i), h, nil)
 	}
 	e.Run()
+	var tm Timer
 	allocs := testing.AllocsPerRun(100, func() {
 		e.AfterTimer(10, fn).Stop()
+		tm = e.ResetTimer(tm, 10, fn) // in place, re-queued every ~5 runs
 		e.AtEvent(e.Now()+1, h, nil)
 		e.RunFor(2)
 	})
@@ -310,5 +313,228 @@ func TestEngineProcessesAllEvents(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fireLog records each callback run as (label, virtual time).
+type fireLog []string
+
+func (l *fireLog) add(e *Engine, label string) {
+	*l = append(*l, fmt.Sprintf("%s@%d", label, e.Now()))
+}
+
+func wantLog(t *testing.T, got fireLog, want ...string) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(fireLog(want)) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// A re-arm to a later deadline keeps the timer's one heap entry: it
+// fires once, at the new deadline, after one re-queue and no dead pop.
+func TestResetTimerLater(t *testing.T) {
+	e := NewEngine()
+	var log fireLog
+	tm := e.AfterTimer(10, func() { log.add(e, "old") })
+	e.At(15, func() { log.add(e, "at") })
+	tm = e.ResetTimer(tm, 20, func() { log.add(e, "new") })
+	if tm.Deadline() != 20 {
+		t.Fatalf("Deadline = %v, want 20", tm.Deadline())
+	}
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2 (re-arm must not add an entry)", e.Pending())
+	}
+	e.Run()
+	wantLog(t, log, "at@15", "new@20")
+	if e.Processed() != 2 {
+		t.Fatalf("Processed = %d, want 2", e.Processed())
+	}
+	if st := e.Stats(); st.Requeues != 1 || st.CanceledPops != 0 {
+		t.Fatalf("stats = %+v, want 1 re-queue and no canceled pop", st)
+	}
+}
+
+// A re-arm to the same deadline takes a fresh place in the FIFO order,
+// after an event scheduled for that instant in between.
+func TestResetTimerEqual(t *testing.T) {
+	e := NewEngine()
+	var log fireLog
+	tm := e.AfterTimer(10, func() { log.add(e, "timer") })
+	e.At(10, func() { log.add(e, "at") })
+	e.ResetTimer(tm, 10, func() { log.add(e, "timer") })
+	e.Run()
+	wantLog(t, log, "at@10", "timer@10")
+	if st := e.Stats(); st.Requeues != 1 || st.CanceledPops != 0 {
+		t.Fatalf("stats = %+v, want 1 re-queue and no canceled pop", st)
+	}
+}
+
+// A re-arm to an earlier deadline falls back to Stop + AfterTimer: the
+// old entry is consumed dead at its own deadline.
+func TestResetTimerEarlier(t *testing.T) {
+	e := NewEngine()
+	var log fireLog
+	tm := e.AfterTimer(20, func() { log.add(e, "old") })
+	tm = e.ResetTimer(tm, 5, func() { log.add(e, "new") })
+	e.Run()
+	wantLog(t, log, "new@5")
+	if st := e.Stats(); st.Requeues != 0 || st.CanceledPops != 1 {
+		t.Fatalf("stats = %+v, want no re-queue and 1 canceled pop", st)
+	}
+	if tm.Stop() {
+		t.Fatal("Stop after firing returned true")
+	}
+}
+
+// A stopped timer can be re-armed; the handles before the re-arm are
+// stale and cannot cancel it.
+func TestResetTimerAfterStop(t *testing.T) {
+	e := NewEngine()
+	var log fireLog
+	old := e.AfterTimer(10, func() { log.add(e, "old") })
+	old.Stop()
+	fresh := e.ResetTimer(old, 15, func() { log.add(e, "fresh") })
+	if old.Stop() {
+		t.Fatal("stale handle Stop returned true")
+	}
+	e.Run()
+	wantLog(t, log, "fresh@15")
+	if fresh.Stop() {
+		t.Fatal("Stop after firing returned true")
+	}
+}
+
+// Stop on the handle a re-arm returned cancels the timer for good.
+func TestResetTimerThenStop(t *testing.T) {
+	e := NewEngine()
+	fired := false
+	tm := e.AfterTimer(10, func() { fired = true })
+	tm = e.ResetTimer(tm, 30, func() { fired = true })
+	if !tm.Stop() {
+		t.Fatal("Stop on the re-armed handle returned false")
+	}
+	e.Run()
+	if fired {
+		t.Fatal("stopped timer fired")
+	}
+	if st := e.Stats(); st.CanceledPops != 1 || st.Requeues != 0 {
+		t.Fatalf("stats = %+v, want 1 canceled pop and no re-queue", st)
+	}
+}
+
+// Re-arming a fired handle — after the fact or from inside its own
+// callback — arms a fresh timer.
+func TestResetTimerAfterFire(t *testing.T) {
+	e := NewEngine()
+	var log fireLog
+	tm := e.AfterTimer(10, func() { log.add(e, "first") })
+	e.Run()
+	tm = e.ResetTimer(tm, 5, func() { log.add(e, "second") })
+	e.Run()
+	wantLog(t, log, "first@10", "second@15")
+
+	log = nil
+	n := 0
+	var fn func()
+	fn = func() {
+		log.add(e, "self")
+		if n++; n < 3 {
+			tm = e.ResetTimer(tm, 10, fn)
+		}
+	}
+	tm = e.ResetTimer(tm, 10, fn)
+	e.Run()
+	wantLog(t, log, "self@25", "self@35", "self@45")
+}
+
+// timerScript drives an engine through a random schedule of timer arms,
+// re-arms, stops, plain events and clock advances, some issued from
+// inside callbacks. With inPlace it re-arms through ResetTimer, else
+// through the Stop + AfterTimer reference; the same seed must give the
+// same log either way.
+type timerScript struct {
+	e       *Engine
+	rng     *Rand
+	inPlace bool
+	timers  [4]Timer
+	fire    [4]func()
+	budget  int
+	log     fireLog
+}
+
+func newTimerScript(seed uint64, inPlace bool) *timerScript {
+	s := &timerScript{e: NewEngine(), rng: NewRand(seed), inPlace: inPlace, budget: 400}
+	for k := range s.fire {
+		label := fmt.Sprintf("t%d", k)
+		s.fire[k] = func() { s.log.add(s.e, label); s.act() }
+	}
+	return s
+}
+
+// act performs one random scheduling action while the budget lasts.
+func (s *timerScript) act() {
+	if s.budget <= 0 {
+		return
+	}
+	s.budget--
+	k := s.rng.Intn(len(s.timers))
+	d := Duration(s.rng.Intn(40))
+	switch s.rng.Intn(6) {
+	case 0, 1, 2:
+		if s.inPlace {
+			s.timers[k] = s.e.ResetTimer(s.timers[k], d, s.fire[k])
+		} else {
+			s.timers[k].Stop()
+			s.timers[k] = s.e.AfterTimer(d, s.fire[k])
+		}
+	case 3:
+		s.log = append(s.log, fmt.Sprintf("stop%d=%v", k, s.timers[k].Stop()))
+	case 4:
+		label := fmt.Sprintf("at%d", s.budget)
+		s.e.At(s.e.Now()+d, func() { s.log.add(s.e, label); s.act() })
+	case 5:
+		// no-op: lets a callback end a chain
+	}
+}
+
+func (s *timerScript) run() {
+	for s.budget > 0 {
+		s.act()
+		if s.rng.Intn(4) == 0 {
+			s.e.RunFor(Duration(s.rng.Intn(30)))
+		}
+	}
+	s.e.Run()
+}
+
+// Property: re-arming in place fires the same callbacks in the same
+// order at the same virtual times, with the same Processed count and
+// Stop results, as Stop + AfterTimer — and never pops more dead entries.
+func TestResetTimerMatchesStopAfterTimer(t *testing.T) {
+	var requeues uint64
+	f := func(seed uint64) bool {
+		got, ref := newTimerScript(seed, true), newTimerScript(seed, false)
+		got.run()
+		ref.run()
+		requeues += got.e.Stats().Requeues
+		if fmt.Sprint(got.log) != fmt.Sprint(ref.log) {
+			t.Errorf("seed %d: in-place log\n%v\nreference log\n%v", seed, got.log, ref.log)
+			return false
+		}
+		if got.e.Processed() != ref.e.Processed() {
+			t.Errorf("seed %d: Processed %d, reference %d", seed, got.e.Processed(), ref.e.Processed())
+			return false
+		}
+		if g, r := got.e.Stats(), ref.e.Stats(); g.CanceledPops > r.CanceledPops || g.PeakPending > r.PeakPending {
+			t.Errorf("seed %d: stats %+v, reference %+v", seed, g, r)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if requeues == 0 {
+		t.Fatal("no script re-queued an entry: the in-place path went untested")
 	}
 }

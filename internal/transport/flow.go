@@ -1,21 +1,21 @@
 package transport
 
 import (
-	"sync/atomic"
-
 	"occamy/internal/pkt"
 	"occamy/internal/sim"
 )
 
 // Net is the interface a flow endpoint needs from its host: virtual
-// time, timers, packet allocation, and packet injection into the
-// network. It is implemented by netsim.Host.
+// time, a re-armable timer, packet allocation, and packet injection
+// into the network. It is implemented by netsim.Host.
 type Net interface {
 	Now() sim.Time
-	After(d sim.Duration, fn func())
-	AfterTimer(d sim.Duration, fn func()) sim.Timer
-	// NewPacket returns a zeroed packet, typically from the network's
-	// freelist so the per-packet allocation disappears from the hot path.
+	// ResetTimer re-arms t (see sim.Engine.ResetTimer); the zero Timer
+	// arms a fresh one.
+	ResetTimer(t sim.Timer, d sim.Duration, fn func()) sim.Timer
+	// NewPacket returns a packet that is zeroed apart from an ID unique
+	// within the network, typically from the network's freelist so the
+	// per-packet allocation disappears from the hot path.
 	NewPacket() *pkt.Packet
 	Send(p *pkt.Packet)
 }
@@ -70,16 +70,4 @@ func (o Options) WithDefaults() Options {
 		o.MaxRTO = sim.Second
 	}
 	return o
-}
-
-// nextPktID hands out globally unique packet IDs. It is atomic so that
-// independent engines may run concurrently (the parallel sweep runner);
-// IDs only need to be unique, they never influence simulation behavior.
-//
-//occamy:concurrent global ID counter shared across engines; IDs are unique-only, never ordered on
-var nextPktID atomic.Uint64
-
-func newPktID() uint64 {
-	//occamy:concurrent same seam: IDs are unique-only, never ordered on
-	return nextPktID.Add(1)
 }

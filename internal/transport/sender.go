@@ -76,7 +76,6 @@ func (s *Sender) segment(seq int64) *pkt.Packet {
 		payload = rem
 	}
 	p := s.net.NewPacket()
-	p.ID = newPktID()
 	p.FlowID = s.spec.ID
 	p.Src = s.spec.Src
 	p.Dst = s.spec.Dst
@@ -121,8 +120,7 @@ func (s *Sender) armTimer() {
 	if s.done || s.sndUna >= s.spec.Size {
 		return
 	}
-	s.timer.Stop()
-	s.timer = s.net.AfterTimer(s.rto, s.timeoutFn)
+	s.timer = s.net.ResetTimer(s.timer, s.rto, s.timeoutFn)
 }
 
 func (s *Sender) onTimeout() {
@@ -186,8 +184,7 @@ func (s *Sender) OnPacket(p *pkt.Packet) {
 			s.complete(now)
 			return
 		}
-		s.armTimer()
-		s.trySend()
+		s.trySend() // re-arms the RTO
 	case p.AckNo == s.sndUna && s.sndNxt > s.sndUna:
 		// With nothing outstanding there is nothing a fast retransmit
 		// could repair; a same-AckNo arrival then is a stale or
