@@ -4,9 +4,11 @@
 // the workers' result caches use — so an identical (or semantically
 // equivalent) spec always lands on the same worker, and resubmissions
 // stay O(1) cache hits no matter how many workers the fleet has.
-// Sweeps are expanded router-side and fanned point-by-point to each
-// point's home shard, then re-assembled into the byte-identical table a
-// single worker would have produced; POST /v1/batch fans out the same
+// Sweeps are jobs in the router's own job table (the worker's job
+// lifecycle, embedded): each is expanded router-side and fanned
+// point-by-point to each point's home shard, then re-assembled into the
+// byte-identical table a single worker would have produced; POST
+// /v1/batch fans out the same
 // way with one sub-batch per shard. GET /v1/stats and /v1/cache merge
 // the whole fleet (the submission-ledger identities reconcile on the
 // sums). A per-client token bucket (X-Client-ID header, else remote
@@ -95,7 +97,8 @@ func main() {
 
 // run owns the server lifecycle: every shutdown path goes through
 // http.Server.Shutdown so in-flight proxied requests drain before the
-// process exits (the workers keep running — the router is stateless).
+// process exits, then closes the router's sweep jobs (the workers keep
+// running — the router is stateless).
 func run(addr string, cfg fleet.Config, drain time.Duration) error {
 	rt, err := fleet.NewRouter(cfg)
 	if err != nil {
@@ -124,6 +127,7 @@ func run(addr string, cfg fleet.Config, drain time.Duration) error {
 	if err := srv.Shutdown(sctx); err != nil {
 		log.Printf("occamy-router: HTTP drain: %v", err)
 	}
+	rt.Close()
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

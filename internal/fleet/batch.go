@@ -17,6 +17,10 @@ type batchRequest struct {
 
 const maxBatchSpecs = 512
 
+// maxBodyBytes bounds a submitted batch body, matching the worker's
+// spec-size bound.
+const maxBodyBytes = 1 << 20
+
 // handleBatch routes one multi-spec submission across the fleet: specs
 // are parsed and fingerprinted router-side, grouped by home shard, and
 // forwarded as one sub-batch per worker — so a 500-spec batch costs
@@ -26,26 +30,26 @@ const maxBatchSpecs = 512
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil || len(body) > maxBodyBytes {
-		httpError(w, http.StatusBadRequest, "bad batch body (max %d bytes)", maxBodyBytes)
+		service.HTTPError(w, http.StatusBadRequest, "bad batch body (max %d bytes)", maxBodyBytes)
 		return
 	}
 	var req batchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing batch request: %v", err)
+		service.HTTPError(w, http.StatusBadRequest, "parsing batch request: %v", err)
 		return
 	}
 	if len(req.Specs) == 0 {
-		httpError(w, http.StatusBadRequest, "batch request has no specs")
+		service.HTTPError(w, http.StatusBadRequest, "batch request has no specs")
 		return
 	}
 	if len(req.Specs) > maxBatchSpecs {
-		httpError(w, http.StatusBadRequest, "batch has %d specs (cap %d)", len(req.Specs), maxBatchSpecs)
+		service.HTTPError(w, http.StatusBadRequest, "batch has %d specs (cap %d)", len(req.Specs), maxBatchSpecs)
 		return
 	}
 	var scale scenario.Scale
 	if req.Scale != "" {
 		if scale, err = scenario.ParseScale(req.Scale); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			service.HTTPError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -117,7 +121,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[idxs[k]] = item
 		}
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"runs": items})
+	service.WriteJSON(w, http.StatusAccepted, map[string]any{"runs": items})
 }
 
 func fillShardError(items []service.BatchItem, idxs []int, msg string, code int) {

@@ -130,7 +130,7 @@ func startFleet(t *testing.T, n int, mod func(*Config)) *testFleet {
 		f.workers = append(f.workers, ts)
 		urls[i] = ts.URL
 	}
-	cfg := Config{Workers: urls, PollInterval: 2 * time.Millisecond, PointTimeout: 60 * time.Second}
+	cfg := Config{Workers: urls, PointTimeout: 60 * time.Second}
 	if mod != nil {
 		mod(&cfg)
 	}

@@ -4,9 +4,10 @@
 // identical or equivalent spec always lands on the same worker — the
 // content-addressed result cache becomes a fleet-wide sharded tier for
 // free, and repeat submissions stay O(1) hits regardless of fleet size.
-// Sweeps are expanded router-side and fanned point-by-point to each
-// point's home shard, then re-assembled into the byte-identical table a
-// single process would have produced; batches fan out the same way. A
+// Sweeps are jobs of an embedded service.Service, the worker's own job
+// lifecycle, whose runner fans them point-by-point to each point's home
+// shard, then re-assembles the byte-identical table a single process
+// would have produced; batches fan out the same way. A
 // per-client token bucket at the router keeps one client from starving
 // the whole fleet.
 package fleet

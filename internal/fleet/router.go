@@ -9,14 +9,12 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"occamy/internal/metrics"
-	"occamy/internal/scenario"
 	"occamy/internal/service"
 )
 
@@ -29,8 +27,9 @@ type Config struct {
 	// Replicas is the virtual-node count per worker (default
 	// DefaultReplicas).
 	Replicas int
-	// MaxSweepPoints caps one sweep's expanded grid, checked in O(axes)
-	// before expansion exactly like the worker-side cap (default 256).
+	// MaxSweepPoints caps one sweep's expanded grid (default 256); the
+	// sweep service checks it in O(axes) before expansion, exactly as a
+	// worker does.
 	MaxSweepPoints int
 	// RatePerClient and Burst shape the per-client token bucket guarding
 	// the submission endpoints; RatePerClient <= 0 disables limiting.
@@ -40,10 +39,8 @@ type Config struct {
 	// (default 64 MB). Individual run results are never cached here —
 	// they live on their home shard.
 	SweepCacheBytes int64
-	// PollInterval is the cadence at which the sweep aggregator polls
-	// point jobs (default 5ms); PointTimeout bounds one point's
-	// submit-to-done wait (default 10m).
-	PollInterval time.Duration
+	// PointTimeout bounds one sweep point's submit-to-done wait (default
+	// 10m).
 	PointTimeout time.Duration
 	// Client overrides the HTTP client used to reach workers.
 	Client *http.Client
@@ -61,8 +58,9 @@ type Counters struct {
 	Routed  int64 `json:"routed"`
 	Proxied int64 `json:"proxied"`
 	// Sweeps counts POST /v1/sweeps accepted; SweepCacheHits the ones
-	// answered from the aggregated-table cache; SweepPoints the grid
-	// points fanned out to workers.
+	// answered from the aggregated-table cache (both read from the
+	// embedded sweep service's ledger); SweepPoints the grid points
+	// fanned out to workers.
 	Sweeps         int64 `json:"sweeps"`
 	SweepCacheHits int64 `json:"sweep_cache_hits"`
 	SweepPoints    int64 `json:"sweep_points"`
@@ -78,96 +76,24 @@ type Counters struct {
 // consistent hash over the spec fingerprint — the same partition key
 // the workers' content-addressed caches use — so every spec has exactly
 // one home shard and resubmissions are fleet-wide O(1) cache hits.
-// Sweeps are expanded router-side and their points fanned to each
-// point's home shard, the aggregate re-assembled byte-identically to a
-// single-process sweep. The router itself holds no simulation state:
-// killing it loses nothing but the in-flight sweep aggregations.
+// Sweeps are jobs of an embedded service.Service whose sweep runner
+// fans each grid point out to its home shard and re-assembles the
+// aggregate byte-identically to a single-process sweep. The router
+// itself holds no simulation state: killing it loses nothing but the
+// in-flight sweep aggregations.
 type Router struct {
-	workers    []string
-	ring       *Ring
-	client     *http.Client
-	limiter    *RateLimiter
-	sweepCache *service.Cache
-	maxSweep   int
-	pollEvery  time.Duration
-	pointWait  time.Duration
-	started    time.Time
-	endpoints  map[string]*metrics.Histogram
-	logger     *slog.Logger
+	workers   []string
+	ring      *Ring
+	client    *http.Client
+	limiter   *RateLimiter
+	sweeps    *service.Service
+	pointWait time.Duration
+	started   time.Time
+	endpoints service.Endpoints
+	logger    *slog.Logger
 
 	mu       sync.Mutex
-	sweeps   map[string]*sweepJob // by router job id
-	order    []string
-	inflight map[string]*sweepJob // by sweep fingerprint
-	seq      int64
 	counters Counters
-}
-
-// sweepJob is a router-owned aggregation job: one POST /v1/sweeps,
-// fanned out as N point runs across the fleet.
-type sweepJob struct {
-	id          string
-	spec        scenario.Spec
-	axes        []scenario.SweepAxis
-	fingerprint string
-	trace       string
-
-	state  service.JobState
-	cached bool
-	errMsg string
-	result []byte
-	cancel atomic.Bool
-	// pointsDone counts grid points that have landed (incremented by the
-	// concurrent point runners); pointsTotal is the grid size. Together
-	// they drive the sweep's live-progress block.
-	pointsDone  atomic.Int64
-	pointsTotal int
-	submitted   time.Time
-	started     time.Time
-	finished    time.Time
-}
-
-func (j *sweepJob) status() service.JobStatus {
-	st := service.JobStatus{
-		ID: j.id, Kind: "sweep", State: j.state,
-		Scenario: j.spec.Name, Fingerprint: j.fingerprint, Trace: j.trace, Cached: j.cached,
-		Error: j.errMsg, Submitted: j.submitted, Started: j.started, Finished: j.finished,
-	}
-	if !j.started.IsZero() {
-		st.QueueWaitMs = durToMs(j.started.Sub(j.submitted))
-		switch {
-		case !j.finished.IsZero():
-			st.RunMs = durToMs(j.finished.Sub(j.started))
-		case j.state == service.JobRunning:
-			st.RunMs = durToMs(time.Since(j.started))
-		}
-		// Point-granular progress, the same schema the worker reports for
-		// its own sweep jobs.
-		if j.pointsTotal > 0 {
-			p := &service.Progress{
-				PointsDone:  int(j.pointsDone.Load()),
-				PointsTotal: j.pointsTotal,
-				WallSeconds: time.Since(j.started).Seconds(),
-			}
-			if !j.finished.IsZero() {
-				p.WallSeconds = j.finished.Sub(j.started).Seconds()
-			}
-			p.Fraction = float64(p.PointsDone) / float64(p.PointsTotal)
-			if j.state == service.JobDone {
-				p.Fraction = 1
-			}
-			st.Progress = p
-		}
-	}
-	return st
-}
-
-// durToMs mirrors the worker's duration rendering (ms, µs precision).
-func durToMs(d time.Duration) float64 {
-	if d < 0 {
-		d = 0
-	}
-	return float64(d/time.Microsecond) / 1000
 }
 
 // NewRouter builds a router over the worker fleet.
@@ -176,14 +102,8 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxSweepPoints <= 0 {
-		cfg.MaxSweepPoints = 256
-	}
 	if cfg.SweepCacheBytes <= 0 {
 		cfg.SweepCacheBytes = 64 << 20
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 5 * time.Millisecond
 	}
 	if cfg.PointTimeout <= 0 {
 		cfg.PointTimeout = 10 * time.Minute
@@ -195,73 +115,40 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	sweepCache, err := service.NewCache(cfg.SweepCacheBytes, "")
+	rt := &Router{
+		workers:   ring.Nodes(),
+		ring:      ring,
+		client:    client,
+		limiter:   NewRateLimiter(cfg.RatePerClient, cfg.Burst),
+		pointWait: cfg.PointTimeout,
+		started:   time.Now(),
+		endpoints: service.NewEndpoints(),
+		logger:    cfg.Logger,
+	}
+	rt.sweeps, err = service.New(service.Config{
+		Workers:        sweepWorkers,
+		MaxSweepPoints: cfg.MaxSweepPoints,
+		CacheBytes:     cfg.SweepCacheBytes,
+		Logger:         cfg.Logger,
+		SweepRunner:    rt.runSweep,
+	})
 	if err != nil {
 		return nil, err
-	}
-	rt := &Router{
-		workers:    ring.Nodes(),
-		ring:       ring,
-		client:     client,
-		limiter:    NewRateLimiter(cfg.RatePerClient, cfg.Burst),
-		sweepCache: sweepCache,
-		maxSweep:   cfg.MaxSweepPoints,
-		pollEvery:  cfg.PollInterval,
-		pointWait:  cfg.PointTimeout,
-		started:    time.Now(),
-		endpoints:  make(map[string]*metrics.Histogram, len(endpointPatterns)),
-		logger:     cfg.Logger,
-		sweeps:     make(map[string]*sweepJob),
-		inflight:   make(map[string]*sweepJob),
-	}
-	for _, pat := range endpointPatterns {
-		rt.endpoints[pat] = metrics.NewLatencyHistogram()
 	}
 	return rt, nil
 }
 
-// endpointPatterns mirrors the worker API surface: the router serves
-// the same routes, so clients (curl, occamy-loadgen) are agnostic to
-// whether they talk to one worker or the fleet.
-var endpointPatterns = []string{
-	"GET /v1/scenarios",
-	"GET /v1/scenarios/{name}",
-	"POST /v1/runs",
-	"GET /v1/runs",
-	"GET /v1/runs/{id}",
-	"GET /v1/runs/{id}/trace.csv",
-	"DELETE /v1/runs/{id}",
-	"POST /v1/sweeps",
-	"POST /v1/batch",
-	"GET /v1/cache",
-	"GET /v1/stats",
-	"GET /metrics",
-}
+// Close shuts the sweep service down: queued sweeps are canceled and
+// running ones stop polling their points (which keep running, and stay
+// cached, on their shards).
+func (rt *Router) Close() { rt.sweeps.Close() }
 
 // Handler returns the router's HTTP API — the same surface as one
-// occamy-served, fleet-wide. The middleware mirrors the worker's:
-// per-endpoint latency recording, X-Occamy-Trace establishment and
-// response echo, and a debug-level structured request record.
+// occamy-served, fleet-wide, behind the same instrumented-route
+// middleware.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern string, fn http.HandlerFunc) {
-		h := rt.endpoints[pattern]
-		if h == nil {
-			panic(fmt.Sprintf("fleet: route %q not in endpointPatterns", pattern))
-		}
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			trace := service.EnsureTrace(r)
-			w.Header().Set(service.TraceHeader, trace)
-			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-			fn(sw, r)
-			d := time.Since(start)
-			h.Record(d)
-			rt.logger.Debug("http",
-				"method", r.Method, "route", pattern, "status", sw.status,
-				"trace", trace, "dur_ms", durToMs(d))
-		})
-	}
+	handle := rt.endpoints.Instrument(mux, rt.logger)
 	handle("GET /v1/scenarios", rt.handleScenarios)
 	handle("GET /v1/scenarios/{name}", rt.handleScenarioExport)
 	handle("POST /v1/runs", rt.handleSubmit)
@@ -277,40 +164,21 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// statusWriter captures the response status for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // Job-ID shard encoding
 //
 // The router issues run IDs of the form "w<shard>.<worker id>" (e.g.
 // "w1.r42"): the shard index names the worker that owns the job, so
 // status polls, trace fetches, and cancels route without any router
-// state. Sweep jobs are router-owned aggregations and use "g<seq>".
+// state. Sweep jobs belong to the embedded sweep service; its job
+// "r<seq>" is the router's "g<seq>".
 
 func routerID(shard int, workerID string) string {
 	return fmt.Sprintf("w%d.%s", shard, workerID)
 }
 
-// parseRunID splits a router run ID into its shard and worker-local id.
+// parseRunID splits a router run ID into its shard and the worker's
+// path for the job, escaped so the ID cannot smuggle a query or a path
+// segment to the worker.
 func (rt *Router) parseRunID(id string) (int, string, bool) {
 	rest, ok := strings.CutPrefix(id, "w")
 	if !ok {
@@ -324,7 +192,16 @@ func (rt *Router) parseRunID(id string) (int, string, bool) {
 	if err != nil || shard < 0 || shard >= len(rt.workers) {
 		return 0, "", false
 	}
-	return shard, rest[dot+1:], true
+	return shard, "/v1/runs/" + url.PathEscape(rest[dot+1:]), true
+}
+
+// sweepID maps a sweep-service job ID to the router's "g<seq>" form.
+func sweepID(serviceID string) string { return "g" + strings.TrimPrefix(serviceID, "r") }
+
+// parseSweepID is sweepID's inverse.
+func parseSweepID(id string) (string, bool) {
+	seq, ok := strings.CutPrefix(id, "g")
+	return "r" + seq, ok
 }
 
 // clientKey identifies the rate-limited principal: an explicit
@@ -348,15 +225,13 @@ func (rt *Router) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 	if ok {
 		return true
 	}
-	rt.mu.Lock()
-	rt.counters.RateLimited++
-	rt.mu.Unlock()
+	rt.count(func(c *Counters) { c.RateLimited++ })
 	secs := int(math.Ceil(retryAfter.Seconds()))
 	if secs < 1 {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	httpError(w, http.StatusTooManyRequests, "rate limit exceeded for client %q; retry in %ds", clientKey(r), secs)
+	service.HTTPError(w, http.StatusTooManyRequests, "rate limit exceeded for client %q; retry in %ds", clientKey(r), secs)
 	return false
 }
 
@@ -439,7 +314,7 @@ func (rt *Router) proxyAny(w http.ResponseWriter, path, trace string) {
 		relay(w, resp)
 		return
 	}
-	httpError(w, http.StatusBadGateway, "no worker reachable: %v", lastErr)
+	service.HTTPError(w, http.StatusBadGateway, "no worker reachable: %v", lastErr)
 }
 
 func (rt *Router) handleScenarios(w http.ResponseWriter, r *http.Request) {
@@ -447,9 +322,9 @@ func (rt *Router) handleScenarios(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleScenarioExport(w http.ResponseWriter, r *http.Request) {
-	path := "/v1/scenarios/" + r.PathValue("name")
+	path := "/v1/scenarios/" + url.PathEscape(r.PathValue("name"))
 	if scale := r.URL.Query().Get("scale"); scale != "" {
-		path += "?scale=" + scale
+		path += "?" + url.Values{"scale": {scale}}.Encode()
 	}
 	rt.proxyAny(w, path, reqTrace(r))
 }
@@ -462,12 +337,12 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, status, err := service.ReadSpec(r)
 	if err != nil {
-		httpError(w, status, "%v", err)
+		service.HTTPError(w, status, "%v", err)
 		return
 	}
 	fp, err := spec.Fingerprint()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		service.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	// The spec's home shard is a pure function of its fingerprint — the
@@ -476,12 +351,12 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	shard := rt.ring.Lookup(fp)
 	body, err := spec.Marshal()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		service.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	resp, err := rt.callWorker(shard, http.MethodPost, "/v1/runs", body, reqTrace(r))
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		service.HTTPError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	rt.count(func(c *Counters) { c.Routed++ })
@@ -491,11 +366,11 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var st service.JobStatus
 	if err := json.Unmarshal(resp.body, &st); err != nil {
-		httpError(w, http.StatusBadGateway, "worker %d: undecodable job status: %v", shard, err)
+		service.HTTPError(w, http.StatusBadGateway, "worker %d: undecodable job status: %v", shard, err)
 		return
 	}
 	st.ID = routerID(shard, st.ID)
-	writeJSON(w, http.StatusAccepted, st)
+	service.WriteJSON(w, http.StatusAccepted, st)
 }
 
 // jobView mirrors the worker's GET /v1/runs/{id} response shape.
@@ -522,31 +397,35 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 			runs = append(runs, st)
 		}
 	}
-	rt.mu.Lock()
-	for _, id := range rt.order {
-		runs = append(runs, rt.sweeps[id].status())
+	for _, st := range rt.sweeps.Jobs() {
+		st.ID = sweepID(st.ID)
+		runs = append(runs, st)
 	}
-	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"runs": runs})
+	service.WriteJSON(w, http.StatusOK, map[string]any{"runs": runs})
 }
 
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if j := rt.sweepByID(id); j != nil {
-		rt.mu.Lock()
-		view := jobView{JobStatus: j.status(), Result: j.result}
-		rt.mu.Unlock()
-		writeJSON(w, http.StatusOK, view)
+	if sid, ok := parseSweepID(id); ok {
+		st, ok := rt.sweeps.Get(sid)
+		if !ok {
+			service.HTTPError(w, http.StatusNotFound, "no run %s", id)
+			return
+		}
+		st.ID = id
+		view := jobView{JobStatus: st}
+		view.Result, _ = rt.sweeps.Result(sid)
+		service.WriteJSON(w, http.StatusOK, view)
 		return
 	}
-	shard, wid, ok := rt.parseRunID(id)
+	shard, path, ok := rt.parseRunID(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no run %s", id)
+		service.HTTPError(w, http.StatusNotFound, "no run %s", id)
 		return
 	}
-	resp, err := rt.callWorker(shard, http.MethodGet, "/v1/runs/"+wid, nil, reqTrace(r))
+	resp, err := rt.callWorker(shard, http.MethodGet, path, nil, reqTrace(r))
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		service.HTTPError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	rt.count(func(c *Counters) { c.Proxied++ })
@@ -556,31 +435,27 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	var view jobView
 	if err := json.Unmarshal(resp.body, &view); err != nil {
-		httpError(w, http.StatusBadGateway, "worker %d: undecodable job view: %v", shard, err)
+		service.HTTPError(w, http.StatusBadGateway, "worker %d: undecodable job view: %v", shard, err)
 		return
 	}
 	view.ID = routerID(shard, view.ID)
-	writeJSON(w, http.StatusOK, view)
+	service.WriteJSON(w, http.StatusOK, view)
 }
 
 func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if j := rt.sweepByID(id); j != nil {
-		httpError(w, http.StatusNotFound, "fleet: job %s is a sweep, not a run", id)
-		return
-	}
-	shard, wid, ok := rt.parseRunID(id)
+	shard, path, ok := rt.parseRunID(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no run %s", id)
+		service.HTTPError(w, http.StatusNotFound, "no run %s", id)
 		return
 	}
-	path := "/v1/runs/" + wid + "/trace.csv"
+	path += "/trace.csv"
 	if stride := r.URL.Query().Get("stride"); stride != "" {
-		path += "?stride=" + stride
+		path += "?" + url.Values{"stride": {stride}}.Encode()
 	}
 	resp, err := rt.callWorker(shard, http.MethodGet, path, nil, reqTrace(r))
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		service.HTTPError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	rt.count(func(c *Counters) { c.Proxied++ })
@@ -589,28 +464,24 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if j := rt.sweepByID(id); j != nil {
-		rt.mu.Lock()
-		if !j.state.Terminal() {
-			// The aggregator observes the flag between point polls and
-			// finishes the job canceled; already-submitted points keep
-			// running on their shards (their results stay cached — the
-			// fleet loses nothing by letting them land).
-			j.cancel.Store(true)
+	if sid, ok := parseSweepID(id); ok {
+		st, ok := rt.sweeps.Cancel(sid)
+		if !ok {
+			service.HTTPError(w, http.StatusNotFound, "no run %s", id)
+			return
 		}
-		st := j.status()
-		rt.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+		st.ID = id
+		service.WriteJSON(w, http.StatusOK, st)
 		return
 	}
-	shard, wid, ok := rt.parseRunID(id)
+	shard, path, ok := rt.parseRunID(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no run %s", id)
+		service.HTTPError(w, http.StatusNotFound, "no run %s", id)
 		return
 	}
-	resp, err := rt.callWorker(shard, http.MethodDelete, "/v1/runs/"+wid, nil, reqTrace(r))
+	resp, err := rt.callWorker(shard, http.MethodDelete, path, nil, reqTrace(r))
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "%v", err)
+		service.HTTPError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	rt.count(func(c *Counters) { c.Proxied++ })
@@ -620,18 +491,9 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	var st service.JobStatus
 	if err := json.Unmarshal(resp.body, &st); err != nil {
-		httpError(w, http.StatusBadGateway, "worker %d: undecodable job status: %v", shard, err)
+		service.HTTPError(w, http.StatusBadGateway, "worker %d: undecodable job status: %v", shard, err)
 		return
 	}
 	st.ID = routerID(shard, st.ID)
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (rt *Router) sweepByID(id string) *sweepJob {
-	if !strings.HasPrefix(id, "g") {
-		return nil
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.sweeps[id]
+	service.WriteJSON(w, http.StatusOK, st)
 }

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"occamy/internal/metrics"
 	"occamy/internal/service"
 )
 
@@ -73,24 +72,27 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.Utilization = weightedUtil / workers
 	}
 	st.UptimeSeconds = time.Since(rt.started).Seconds()
-	st.Endpoints = make(map[string]metrics.HistSnapshot, len(rt.endpoints))
-	for pat, h := range rt.endpoints {
-		if h.Count() > 0 {
-			st.Endpoints[pat] = h.Snapshot()
-		}
-	}
-
-	rt.mu.Lock()
-	st.Router = RouterStats{
-		UptimeSeconds: st.UptimeSeconds,
-		Workers:       len(rt.workers),
-		Counters:      rt.counters,
-		SweepJobs:     len(rt.sweeps),
-		SweepCache:    rt.sweepCache.Stats(),
-	}
-	rt.mu.Unlock()
+	st.Endpoints = rt.endpoints.Snapshot()
+	st.Router = rt.routerStats()
 	st.Fleet = fleet
-	writeJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
+}
+
+// routerStats snapshots the router's own ledger; the sweep figures come
+// from the embedded sweep service.
+func (rt *Router) routerStats() RouterStats {
+	sw := rt.sweeps.Stats()
+	rt.mu.Lock()
+	c := rt.counters
+	rt.mu.Unlock()
+	c.Sweeps, c.SweepCacheHits = sw.Counters.Submitted, sw.Counters.CacheHits
+	return RouterStats{
+		UptimeSeconds: time.Since(rt.started).Seconds(),
+		Workers:       len(rt.workers),
+		Counters:      c,
+		SweepJobs:     len(rt.sweeps.Jobs()),
+		SweepCache:    sw.Cache,
+	}
 }
 
 func addCounters(dst *service.Counters, src service.Counters) {
@@ -146,6 +148,6 @@ func (rt *Router) handleCache(w http.ResponseWriter, r *http.Request) {
 		out.Workers[shard].Cache = &cs
 		addCache(&out.Fleet, cs)
 	}
-	out.SweepCache = rt.sweepCache.Stats()
-	writeJSON(w, http.StatusOK, out)
+	out.SweepCache = rt.sweeps.Cache().Stats()
+	service.WriteJSON(w, http.StatusOK, out)
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -14,244 +13,70 @@ import (
 	"occamy/internal/service"
 )
 
-// maxBodyBytes bounds a submitted request body, matching the worker's
-// spec-size bound.
-const maxBodyBytes = 1 << 20
+// sweepWorkers sizes the embedded sweep service's pool. A router sweep
+// job only waits on HTTP — each point's backpressure is its home
+// shard's queue — so the pool just bounds how many sweeps fan out at
+// once; further sweeps queue, and past the queue they draw the worker's
+// 503.
+const sweepWorkers = 16
 
-// sweepRequest mirrors the worker's POST /v1/sweeps wire format, so a
-// client's sweep body is valid against one worker and the fleet alike.
-type sweepRequest struct {
-	Name  string          `json:"name,omitempty"`
-	Scale string          `json:"scale,omitempty"`
-	Spec  json.RawMessage `json:"spec,omitempty"`
-	Axes  []string        `json:"axes"`
-}
+// pollInterval is the cadence at which a sweep polls its point jobs.
+const pollInterval = 5 * time.Millisecond
 
-// handleSweep expands the grid router-side and fans the points out to
-// their home shards; the aggregate table is byte-identical to what a
-// single worker would have produced for the same sweep (a contract
-// pinned by TestFleetSweepByteIdentity).
+// handleSweep submits the grid to the embedded sweep service, which
+// parses, caps, caches and coalesces it exactly as a worker would, then
+// runs it through runSweep.
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !rt.admit(w, r, 1) {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil || len(body) > maxBodyBytes {
-		httpError(w, http.StatusBadRequest, "bad sweep body")
+	st, ok := rt.sweeps.SubmitSweepRequest(w, r)
+	if !ok {
 		return
 	}
-	var req sweepRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing sweep request: %v", err)
-		return
-	}
-	var spec scenario.Spec
-	switch {
-	case len(req.Spec) > 0:
-		spec, err = scenario.ParseSpec(req.Spec)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	case req.Name != "":
-		spec, err = service.CatalogSpec(req.Name, req.Scale)
-		if err != nil {
-			httpError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-	default:
-		httpError(w, http.StatusBadRequest, "sweep request needs a spec or a catalog name")
-		return
-	}
-	if len(req.Axes) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep request has no axes")
-		return
-	}
-	axes := make([]scenario.SweepAxis, len(req.Axes))
-	for i, a := range req.Axes {
-		ax, err := scenario.ParseSweep(a)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		axes[i] = ax
-	}
-	// The grid cap is checked in O(axes), before expansion, exactly like
-	// the worker's SubmitSweep — overflow-safe against axis products past
-	// 1<<63.
-	points := 1
-	for _, ax := range axes {
-		n := len(ax.Values)
-		if n == 0 {
-			httpError(w, http.StatusBadRequest, "sweep axis %q has no values", ax.Path)
-			return
-		}
-		if points > rt.maxSweep/n {
-			httpError(w, http.StatusBadRequest,
-				"service: sweep grid too large: axes multiply past the %d-point cap", rt.maxSweep)
-			return
-		}
-		points *= n
-	}
-	// Expand now so bad axis paths and invalid point specs are a clean
-	// 400 here, not a failed job discovered by polling.
+	st.ID = sweepID(st.ID)
+	service.WriteJSON(w, http.StatusAccepted, st)
+}
+
+// runSweep is the sweep service's runner: every point runs on its
+// fingerprint's home shard (concurrently — each shard's own queue
+// provides the backpressure), and the finished tables re-assemble into
+// the exact rows and bytes a single-process sweep would emit (a
+// contract pinned by TestFleetSweepByteIdentity).
+func (rt *Router) runSweep(spec scenario.Spec, axes []scenario.SweepAxis, trace string, canceled func() bool, pointDone func()) ([]byte, error) {
 	pointSpecs, _, err := scenario.Expand(spec, axes)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	for _, ps := range pointSpecs {
-		if err := ps.WithDefaults().Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	fp, err := service.SweepFingerprint(spec, axes)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-
-	now := time.Now().UTC()
-	trace := reqTrace(r)
-	rt.mu.Lock()
-	rt.counters.Sweeps++
-	// Same sweep already aggregating? Join it instead of fanning out a
-	// duplicate grid (the worker-side caches would absorb the repeat
-	// points, but the router shouldn't even ask).
-	if j := rt.inflight[fp]; j != nil {
-		st := j.status()
-		rt.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, st)
-		return
-	}
-	if data := rt.sweepCache.Get(fp); data != nil {
-		rt.counters.SweepCacheHits++
-		j := rt.newSweepLocked(spec, axes, fp, now, trace, len(pointSpecs))
-		j.state = service.JobDone
-		j.cached = true
-		j.result = data
-		j.finished = now
-		st := j.status()
-		rt.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, st)
-		return
-	}
-	j := rt.newSweepLocked(spec, axes, fp, now, trace, len(pointSpecs))
-	rt.inflight[fp] = j
-	rt.counters.SweepPoints += int64(len(pointSpecs))
-	st := j.status()
-	rt.mu.Unlock()
-	rt.logSweep(j, "enqueued", "points", len(pointSpecs))
-
-	go rt.runSweep(j, pointSpecs)
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// newSweepLocked registers a fresh router sweep job; the caller holds
-// rt.mu.
-func (rt *Router) newSweepLocked(spec scenario.Spec, axes []scenario.SweepAxis, fp string, now time.Time, trace string, points int) *sweepJob {
-	rt.seq++
-	j := &sweepJob{
-		id:          fmt.Sprintf("g%d", rt.seq),
-		spec:        spec,
-		axes:        axes,
-		fingerprint: fp,
-		trace:       trace,
-		pointsTotal: points,
-		state:       service.JobQueued,
-		submitted:   now,
-	}
-	rt.sweeps[j.id] = j
-	rt.order = append(rt.order, j.id)
-	return j
-}
-
-// logSweep emits one structured sweep-lifecycle record.
-func (rt *Router) logSweep(j *sweepJob, event string, attrs ...any) {
-	base := []any{"job", j.id, "kind", "sweep", "scenario", j.spec.Name, "state", string(j.state)}
-	if j.trace != "" {
-		base = append(base, "trace", j.trace)
-	}
-	rt.logger.Info(event, append(base, attrs...)...)
-}
-
-// errSweepCanceled aborts the aggregation when DELETE flags the job.
-var errSweepCanceled = errors.New("sweep canceled")
-
-// runSweep is the aggregator: every point runs on its fingerprint's
-// home shard (concurrently — each shard's own queue provides the
-// backpressure), and the finished tables re-assemble into the exact
-// rows and bytes a single-process sweep would emit.
-func (rt *Router) runSweep(j *sweepJob, pointSpecs []scenario.Spec) {
-	rt.mu.Lock()
-	j.state = service.JobRunning
-	j.started = time.Now().UTC()
-	rt.mu.Unlock()
-	rt.logSweep(j, "started")
-
+	rt.count(func(c *Counters) { c.SweepPoints += int64(len(pointSpecs)) })
 	tables := make([]scenario.TableDoc, len(pointSpecs))
 	errs := make([]error, len(pointSpecs))
 	var wg sync.WaitGroup
 	for i, ps := range pointSpecs {
 		wg.Add(1)
-		go func(i int, ps scenario.Spec) {
+		go func() {
 			defer wg.Done()
-			tables[i], errs[i] = rt.runPoint(j, i, ps)
+			tables[i], errs[i] = rt.runPoint(ps, service.ChildTrace(trace, "", i), canceled)
 			if errs[i] == nil {
-				j.pointsDone.Add(1)
+				pointDone()
 			}
-		}(i, ps)
+		}()
 	}
 	wg.Wait()
-
-	canceled := false
-	var failure error
+	// A failed point outranks a cancel: its error says more.
 	for _, err := range errs {
-		switch {
-		case err == nil:
-		case errors.Is(err, errSweepCanceled):
-			canceled = true
-		case failure == nil:
-			failure = err
+		if err != nil && !errors.Is(err, scenario.ErrCanceled) {
+			return nil, err
 		}
 	}
-	switch {
-	case failure != nil:
-		rt.finishSweep(j, service.JobFailed, nil, failure.Error())
-	case canceled || j.cancel.Load():
-		rt.finishSweep(j, service.JobCanceled, nil, "")
-	default:
-		table, err := scenario.AssembleSweepTable(j.spec, j.axes, tables)
-		if err != nil {
-			rt.finishSweep(j, service.JobFailed, nil, err.Error())
-			return
-		}
-		data, err := table.Encode()
-		if err != nil {
-			rt.finishSweep(j, service.JobFailed, nil, err.Error())
-			return
-		}
-		rt.sweepCache.Put(j.fingerprint, data)
-		rt.finishSweep(j, service.JobDone, data, "")
+	if canceled() {
+		return nil, scenario.ErrCanceled
 	}
-}
-
-func (rt *Router) finishSweep(j *sweepJob, state service.JobState, result []byte, errMsg string) {
-	rt.mu.Lock()
-	j.state = state
-	j.result = result
-	j.errMsg = errMsg
-	j.finished = time.Now().UTC()
-	if rt.inflight[j.fingerprint] == j {
-		delete(rt.inflight, j.fingerprint)
+	table, err := scenario.AssembleSweepTable(spec, axes, tables)
+	if err != nil {
+		return nil, err
 	}
-	rt.mu.Unlock()
-	attrs := []any{"queue_wait_ms", durToMs(j.started.Sub(j.submitted)), "run_ms", durToMs(j.finished.Sub(j.started))}
-	if errMsg != "" {
-		attrs = append(attrs, "error", errMsg)
-	}
-	rt.logSweep(j, string(state), attrs...)
+	return table.Encode()
 }
 
 // runPoint submits one grid point to its home shard and polls it to a
@@ -259,21 +84,20 @@ func (rt *Router) finishSweep(j *sweepJob, state service.JobState, result []byte
 // makes — submission and polls alike — carries the sweep trace's ".N"
 // child ID, so the worker-side job for grid point N greps back to the
 // router sweep that spawned it.
-func (rt *Router) runPoint(j *sweepJob, idx int, spec scenario.Spec) (scenario.TableDoc, error) {
-	trace := service.ChildTrace(j.trace, "", idx)
+func (rt *Router) runPoint(spec scenario.Spec, trace string, canceled func() bool) (scenario.TableDoc, error) {
 	fp, err := spec.Fingerprint()
 	if err != nil {
 		return scenario.TableDoc{}, err
 	}
 	shard := rt.ring.Lookup(fp)
-	st, err := rt.submitPoint(j, shard, spec, trace)
+	st, err := rt.submitPoint(shard, spec, trace, canceled)
 	if err != nil {
 		return scenario.TableDoc{}, err
 	}
 	deadline := time.Now().Add(rt.pointWait)
 	for {
-		if j.cancel.Load() {
-			return scenario.TableDoc{}, errSweepCanceled
+		if canceled() {
+			return scenario.TableDoc{}, scenario.ErrCanceled
 		}
 		resp, err := rt.callWorker(shard, http.MethodGet, "/v1/runs/"+st.ID, nil, trace)
 		if err != nil {
@@ -309,7 +133,7 @@ func (rt *Router) runPoint(j *sweepJob, idx int, spec scenario.Spec) (scenario.T
 		if time.Now().After(deadline) {
 			return scenario.TableDoc{}, fmt.Errorf("point %q on worker %d: no result within %s", spec.Name, shard, rt.pointWait)
 		}
-		time.Sleep(rt.pollEvery)
+		time.Sleep(pollInterval)
 	}
 }
 
@@ -319,15 +143,15 @@ func (rt *Router) runPoint(j *sweepJob, idx int, spec scenario.Spec) (scenario.T
 // down — the sweep fails rather than silently re-homing the point,
 // because a re-homed point would dodge the shard's cache and violate
 // the "equal specs, equal home" invariant.
-func (rt *Router) submitPoint(j *sweepJob, shard int, spec scenario.Spec, trace string) (service.JobStatus, error) {
+func (rt *Router) submitPoint(shard int, spec scenario.Spec, trace string, canceled func() bool) (service.JobStatus, error) {
 	body, err := spec.Marshal()
 	if err != nil {
 		return service.JobStatus{}, err
 	}
 	const attempts = 4
 	for attempt := 1; ; attempt++ {
-		if j.cancel.Load() {
-			return service.JobStatus{}, errSweepCanceled
+		if canceled() {
+			return service.JobStatus{}, scenario.ErrCanceled
 		}
 		resp, err := rt.callWorker(shard, http.MethodPost, "/v1/runs", body, trace)
 		if err != nil {

@@ -126,24 +126,14 @@ func wireClocks(sw *switchsim.Switch, eng *sim.Engine) *sim.Ticker {
 	return nil
 }
 
-// ErrCanceled is returned by RunWithCancel when the cancel check fired
-// before the run completed.
+// ErrCanceled is returned by RunWithProgress (and RunSweepWithProgress)
+// when the cancel check fired before the run completed.
 var ErrCanceled = errors.New("scenario: run canceled")
 
 // Run assembles and executes one scenario. The spec's Scale preset is
 // applied first (quick/paper transform), then defaults and validation.
 func Run(spec Spec) (*Result, error) {
-	return RunWithCancel(spec, nil)
-}
-
-// RunWithCancel is Run with a cooperative cancel check: the engine
-// steps in bounded chunks of virtual time and polls canceled between
-// chunks, returning ErrCanceled (and discarding the partial run) when
-// it reports true. A nil canceled never cancels. The job queue in
-// internal/service uses it to abort running jobs without a way to
-// interrupt the discrete-event engine mid-chunk.
-func RunWithCancel(spec Spec, canceled func() bool) (*Result, error) {
-	return RunWithProgress(spec, canceled, nil)
+	return RunWithProgress(spec, nil, nil)
 }
 
 // MustRun is Run for specs known valid (registered catalog entries).

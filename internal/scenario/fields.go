@@ -214,21 +214,15 @@ func Expand(base Spec, axes []SweepAxis) (specs []Spec, labels []string, err err
 // the -j worker cap with deterministic, input-ordered results) and
 // returns the summary table: one row per point.
 func RunSweep(base Spec, axes []SweepAxis) (*experiments.Table, error) {
-	return RunSweepWithCancel(base, axes, nil)
+	return RunSweepWithProgress(base, axes, nil, nil)
 }
 
-// RunSweepWithCancel is RunSweep with a cooperative cancel check,
-// threaded into every grid point's engine loop (see RunWithCancel):
-// once canceled reports true, in-flight points bail at their next chunk
-// and the whole sweep returns ErrCanceled. A nil canceled never
-// cancels.
-func RunSweepWithCancel(base Spec, axes []SweepAxis, canceled func() bool) (*experiments.Table, error) {
-	return RunSweepWithProgress(base, axes, canceled, nil)
-}
-
-// RunSweepWithProgress is RunSweepWithCancel with a per-point progress
-// hook: pointDone is invoked once after each grid point's simulation
-// completes. Points run concurrently under experiments.RunGrid, so
+// RunSweepWithProgress is RunSweep with a cooperative cancel check and
+// a per-point progress hook. canceled is threaded into every grid
+// point's engine loop (see RunWithProgress): once it reports true,
+// in-flight points bail at their next chunk and the whole sweep returns
+// ErrCanceled; a nil canceled never cancels. pointDone is invoked once
+// after each grid point's simulation completes. Points run concurrently under experiments.RunGrid, so
 // pointDone is called from worker goroutines and must be safe for
 // concurrent use (the service layer counts atomically; the fraction is
 // calls-so-far over the grid size the caller already knows). A nil
@@ -248,7 +242,7 @@ func RunSweepWithProgress(base Spec, axes []SweepAxis, canceled func() bool, poi
 		}
 	}
 	results := experiments.RunGrid(specs, func(s Spec) *Result {
-		r, err := RunWithCancel(s, canceled)
+		r, err := RunWithProgress(s, canceled, nil)
 		if errors.Is(err, ErrCanceled) {
 			return nil // the post-grid check below reports it
 		}

@@ -42,10 +42,15 @@ type RunProgress struct {
 // and must not call back into the run. A nil ProgressFunc is ignored.
 type ProgressFunc func(RunProgress)
 
-// RunWithProgress is RunWithCancel with a progress hook: progress is
-// invoked with a fresh sample at every engine chunk boundary (the same
-// seam the cancel check polls) and once more, with Final set, when the
-// run completes. Either hook may be nil.
+// RunWithProgress is Run with a cooperative cancel check and a progress
+// hook. The engine steps in bounded chunks of virtual time and polls
+// canceled between chunks, returning ErrCanceled (and discarding the
+// partial run) when it reports true; the job queue in internal/service
+// uses it to abort running jobs without a way to interrupt the
+// discrete-event engine mid-chunk. progress is invoked with a fresh
+// sample at every chunk boundary (the seam the cancel check polls) and
+// once more, with Final set, when the run completes. Either hook may be
+// nil.
 func RunWithProgress(spec Spec, canceled func() bool, progress ProgressFunc) (*Result, error) {
 	if _, err := ParseScale(string(spec.Scale)); err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)

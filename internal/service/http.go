@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"occamy/internal/scenario"
 )
@@ -38,34 +37,11 @@ import (
 // maxSpecBytes bounds a submitted spec body; real specs are a few KB.
 const maxSpecBytes = 1 << 20
 
-// Handler returns the service's HTTP API. Every route is wrapped in a
-// middleware that records handler latency into the per-endpoint
-// histograms GET /v1/stats and GET /metrics report, establishes the
-// X-Occamy-Trace ID (minting one when absent) and echoes it on the
-// response, and emits a debug-level structured request record.
+// Handler returns the service's HTTP API, every route instrumented
+// (see Endpoints.Instrument).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern string, fn http.HandlerFunc) {
-		h := s.endpoints[pattern]
-		if h == nil {
-			// A pattern missing from endpointPatterns is a programming
-			// error; fail loudly in tests rather than silently dropping
-			// its latency series.
-			panic(fmt.Sprintf("service: route %q not in endpointPatterns", pattern))
-		}
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			trace := EnsureTrace(r)
-			w.Header().Set(TraceHeader, trace)
-			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-			fn(sw, r)
-			d := time.Since(start)
-			h.Record(d)
-			s.logger.Debug("http",
-				"method", r.Method, "route", pattern, "status", sw.status,
-				"trace", trace, "dur_ms", durToMs(d))
-		})
-	}
+	handle := s.endpoints.Instrument(mux, s.logger)
 	handle("GET /v1/scenarios", s.handleScenarios)
 	handle("GET /v1/scenarios/{name}", s.handleScenarioExport)
 	handle("POST /v1/runs", s.handleSubmit)
@@ -79,30 +55,6 @@ func (s *Service) Handler() http.Handler {
 	handle("GET /v1/stats", s.handleStats)
 	handle("GET /metrics", s.handleMetrics)
 	return mux
-}
-
-// statusWriter captures the response status for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeJSON writes v as a JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
 }
 
 // scenarioInfo is one catalog row of GET /v1/scenarios.
@@ -124,7 +76,7 @@ func (s *Service) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, scenarioInfo{Name: name, Title: sc.Spec.Title, Kind: kind})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"scenarios": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"scenarios": out})
 }
 
 // CatalogSpec resolves a catalog entry at a scale; the error messages
@@ -148,12 +100,12 @@ func CatalogSpec(name, scaleStr string) (scenario.Spec, error) {
 func (s *Service) handleScenarioExport(w http.ResponseWriter, r *http.Request) {
 	spec, err := CatalogSpec(r.PathValue("name"), r.URL.Query().Get("scale"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		HTTPError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	data, err := spec.Marshal()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -201,15 +153,15 @@ func ReadSpec(r *http.Request) (scenario.Spec, int, error) {
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, status, err := ReadSpec(r)
 	if err != nil {
-		httpError(w, status, "%v", err)
+		HTTPError(w, status, "%v", err)
 		return
 	}
 	st, err := s.SubmitTraced(spec, r.Header.Get(TraceHeader))
 	if err != nil {
-		httpError(w, submitStatus(w, err), "%v", err)
+		HTTPError(w, submitStatus(w, err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	WriteJSON(w, http.StatusAccepted, st)
 }
 
 // submitStatus maps a Submit/SubmitSweep error to its HTTP status and
@@ -232,7 +184,7 @@ func submitStatus(w http.ResponseWriter, err error) int {
 }
 
 func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"runs": s.Jobs()})
+	WriteJSON(w, http.StatusOK, map[string]any{"runs": s.Jobs()})
 }
 
 // jobView is the GET /v1/runs/{id} response: the status snapshot plus,
@@ -246,14 +198,14 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.Get(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no run %s", id)
+		HTTPError(w, http.StatusNotFound, "no run %s", id)
 		return
 	}
 	view := jobView{JobStatus: st}
 	if data, ok := s.Result(id); ok {
 		view.Result = data
 	}
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -262,21 +214,21 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("stride"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "stride must be a positive integer, got %q", v)
+			HTTPError(w, http.StatusBadRequest, "stride must be a positive integer, got %q", v)
 			return
 		}
 		stride = n
 	}
 	doc, err := s.ResultDoc(id)
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		HTTPError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	// Decide the status before committing to a 200 text/csv: a traceless
 	// document (the run had no occupancy sampling) must be a clean 404,
 	// never a JSON error appended to an already-started CSV body.
 	if !doc.HasTrace() {
-		httpError(w, http.StatusNotFound, "scenario %q: result document carries no trace", doc.Name)
+		HTTPError(w, http.StatusNotFound, "scenario %q: result document carries no trace", doc.Name)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
@@ -292,10 +244,10 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.Cancel(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no run %s", id)
+		HTTPError(w, http.StatusNotFound, "no run %s", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // sweepRequest is the POST /v1/sweeps body: an inline spec or a catalog
@@ -308,44 +260,56 @@ type sweepRequest struct {
 }
 
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
+	if st, ok := s.SubmitSweepRequest(w, r); ok {
+		WriteJSON(w, http.StatusAccepted, st)
+	}
+}
+
+// SubmitSweepRequest parses a POST /v1/sweeps request and submits its
+// grid. On any refusal it writes the error response itself and returns
+// false; on success it writes nothing, so the caller renders the
+// accepted status. Exported for the fleet router, whose sweeps are jobs
+// of an embedded Service and so are parsed, capped and refused exactly
+// like a worker's.
+func (s *Service) SubmitSweepRequest(w http.ResponseWriter, r *http.Request) (JobStatus, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil || len(body) > maxSpecBytes {
-		httpError(w, http.StatusBadRequest, "bad sweep body")
-		return
+		HTTPError(w, http.StatusBadRequest, "bad sweep body")
+		return JobStatus{}, false
 	}
 	var req sweepRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing sweep request: %v", err)
-		return
+		HTTPError(w, http.StatusBadRequest, "parsing sweep request: %v", err)
+		return JobStatus{}, false
 	}
 	var spec scenario.Spec
 	switch {
 	case len(req.Spec) > 0:
 		spec, err = scenario.ParseSpec(req.Spec)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
+			HTTPError(w, http.StatusBadRequest, "%v", err)
+			return JobStatus{}, false
 		}
 	case req.Name != "":
 		spec, err = CatalogSpec(req.Name, req.Scale)
 		if err != nil {
-			httpError(w, http.StatusNotFound, "%v", err)
-			return
+			HTTPError(w, http.StatusNotFound, "%v", err)
+			return JobStatus{}, false
 		}
 	default:
-		httpError(w, http.StatusBadRequest, "sweep request needs a spec or a catalog name")
-		return
+		HTTPError(w, http.StatusBadRequest, "sweep request needs a spec or a catalog name")
+		return JobStatus{}, false
 	}
 	if len(req.Axes) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep request has no axes")
-		return
+		HTTPError(w, http.StatusBadRequest, "sweep request has no axes")
+		return JobStatus{}, false
 	}
 	axes := make([]scenario.SweepAxis, len(req.Axes))
 	for i, a := range req.Axes {
 		ax, err := scenario.ParseSweep(a)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
+			HTTPError(w, http.StatusBadRequest, "%v", err)
+			return JobStatus{}, false
 		}
 		axes[i] = ax
 	}
@@ -358,10 +322,10 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrClosed) {
 			status = submitStatus(w, err)
 		}
-		httpError(w, status, "%v", err)
-		return
+		HTTPError(w, status, "%v", err)
+		return JobStatus{}, false
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	return st, true
 }
 
 // batchRequest is the POST /v1/batch body: many strict-JSON specs in
@@ -387,26 +351,26 @@ const maxBatchSpecs = 512
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil || len(body) > maxSpecBytes {
-		httpError(w, http.StatusBadRequest, "bad batch body (max %d bytes)", maxSpecBytes)
+		HTTPError(w, http.StatusBadRequest, "bad batch body (max %d bytes)", maxSpecBytes)
 		return
 	}
 	var req batchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "parsing batch request: %v", err)
+		HTTPError(w, http.StatusBadRequest, "parsing batch request: %v", err)
 		return
 	}
 	if len(req.Specs) == 0 {
-		httpError(w, http.StatusBadRequest, "batch request has no specs")
+		HTTPError(w, http.StatusBadRequest, "batch request has no specs")
 		return
 	}
 	if len(req.Specs) > maxBatchSpecs {
-		httpError(w, http.StatusBadRequest, "batch has %d specs (cap %d)", len(req.Specs), maxBatchSpecs)
+		HTTPError(w, http.StatusBadRequest, "batch has %d specs (cap %d)", len(req.Specs), maxBatchSpecs)
 		return
 	}
 	var scale scenario.Scale
 	if req.Scale != "" {
 		if scale, err = scenario.ParseScale(req.Scale); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			HTTPError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -434,7 +398,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		items[i] = BatchItem{Job: &st}
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"runs": items})
+	WriteJSON(w, http.StatusAccepted, map[string]any{"runs": items})
 }
 
 // batchCode is submitStatus without the header side effect (per-item
@@ -447,9 +411,9 @@ func batchCode(err error) int {
 }
 
 func (s *Service) handleCache(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.cache.Stats())
+	WriteJSON(w, http.StatusOK, s.cache.Stats())
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"occamy/internal/metrics"
 	"occamy/internal/scenario"
 )
 
@@ -124,7 +123,17 @@ type Config struct {
 	// (occamy-served wires a JSON handler behind -log-level). nil
 	// discards everything, so embedders and tests stay silent.
 	Logger *slog.Logger
+	// SweepRunner executes sweep jobs; nil runs each grid in process
+	// (RunSweepWithProgress). The fleet router plugs in its shard
+	// fan-out.
+	SweepRunner SweepRunner
 }
+
+// SweepRunner executes one sweep job's grid and returns its encoded
+// summary table. It must return scenario.ErrCanceled once canceled
+// reports true, and call pointDone (safe for concurrent use) once per
+// finished grid point; trace is the job's X-Occamy-Trace.
+type SweepRunner func(spec scenario.Spec, axes []scenario.SweepAxis, trace string, canceled func() bool, pointDone func()) ([]byte, error)
 
 // Service is the scenario-execution engine behind the HTTP API: a
 // bounded worker pool draining a job queue, with a content-addressed
@@ -152,8 +161,9 @@ type Service struct {
 	busyNanos int64
 	workers   int
 	started   time.Time
-	endpoints map[string]*metrics.Histogram
+	endpoints Endpoints
 	logger    *slog.Logger
+	runSweep  SweepRunner
 
 	queue chan *Job
 	wg    sync.WaitGroup
@@ -176,6 +186,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
+	if cfg.SweepRunner == nil {
+		cfg.SweepRunner = runLocalSweep
+	}
 	cache, err := NewCache(cfg.CacheBytes, cfg.CacheDir)
 	if err != nil {
 		return nil, err
@@ -189,11 +202,9 @@ func New(cfg Config) (*Service, error) {
 		workers:        cfg.Workers,
 		started:        time.Now(),
 		logger:         cfg.Logger,
-		endpoints:      make(map[string]*metrics.Histogram, len(endpointPatterns)),
+		runSweep:       cfg.SweepRunner,
+		endpoints:      NewEndpoints(),
 		queue:          make(chan *Job, cfg.QueueDepth),
-	}
-	for _, pat := range endpointPatterns {
-		s.endpoints[pat] = metrics.NewLatencyHistogram()
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -242,15 +253,6 @@ func (j *Job) status() JobStatus {
 	}
 	st.Progress = j.progressStatus()
 	return st
-}
-
-// durToMs renders a duration in milliseconds with µs precision, the
-// same shape the latency snapshots use.
-func durToMs(d time.Duration) float64 {
-	if d < 0 {
-		d = 0
-	}
-	return float64(d/time.Microsecond) / 1000
 }
 
 // Submit enqueues a validated spec for asynchronous execution and
@@ -309,8 +311,9 @@ func (s *Service) SubmitTraced(spec scenario.Spec, trace string) (JobStatus, err
 }
 
 // SubmitSweep enqueues a sweep grid: the base spec crossed with the
-// axes, executed through experiments.RunGrid, producing a summary table
-// (one row per grid point). Sweep results are content-addressed too —
+// axes, executed by the configured SweepRunner (by default in process
+// through experiments.RunGrid), producing a summary table (one row per
+// grid point). Sweep results are content-addressed too —
 // by base-spec fingerprint plus the axes — so repeating a grid is a
 // cache hit like repeating a run.
 func (s *Service) SubmitSweep(spec scenario.Spec, axes []scenario.SweepAxis) (JobStatus, error) {
@@ -635,7 +638,7 @@ func (s *Service) runJob(j *Job) {
 	var data []byte
 	var err error
 	if j.Kind == "sweep" {
-		data, err = runSweepJob(j, spec, axes)
+		data, err = s.runSweep(spec, axes, j.trace, j.cancel.Load, j.sweepProgressFunc(gridPoints(axes)))
 	} else {
 		data, err = runJobOnce(j, spec)
 	}
@@ -669,14 +672,15 @@ func runJobOnce(j *Job, spec scenario.Spec) ([]byte, error) {
 	return res.EncodeJSON(true)
 }
 
-// runSweepJob executes a grid and encodes its summary table. The grid
-// fans out through experiments.RunGrid inside RunSweep, so one sweep
-// job saturates the machine the same way the CLI -j path does; the
-// cancel flag reaches every grid point's engine loop. Sweep progress is
+// runLocalSweep is the default sweep runner: it executes the grid in
+// process and encodes its summary table. The grid fans out through
+// experiments.RunGrid inside RunSweepWithProgress, so one sweep job
+// saturates the machine the same way the CLI -j path does; the cancel
+// flag reaches every grid point's engine loop. Sweep progress is
 // point-granular: the pointDone hook fires concurrently from grid
 // workers, so it must be (and is) atomic.
-func runSweepJob(j *Job, spec scenario.Spec, axes []scenario.SweepAxis) ([]byte, error) {
-	tab, err := scenario.RunSweepWithProgress(spec, axes, j.cancel.Load, j.sweepProgressFunc(gridPoints(axes)))
+func runLocalSweep(spec scenario.Spec, axes []scenario.SweepAxis, _ string, canceled func() bool, pointDone func()) ([]byte, error) {
+	tab, err := scenario.RunSweepWithProgress(spec, axes, canceled, pointDone)
 	if err != nil {
 		return nil, err
 	}

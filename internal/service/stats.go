@@ -64,23 +64,6 @@ type Stats struct {
 	Cache CacheStats `json:"cache"`
 }
 
-// endpointPatterns is the instrumented route set; Handler registers
-// exactly these.
-var endpointPatterns = []string{
-	"GET /v1/scenarios",
-	"GET /v1/scenarios/{name}",
-	"POST /v1/runs",
-	"GET /v1/runs",
-	"GET /v1/runs/{id}",
-	"GET /v1/runs/{id}/trace.csv",
-	"DELETE /v1/runs/{id}",
-	"POST /v1/sweeps",
-	"POST /v1/batch",
-	"GET /v1/cache",
-	"GET /v1/stats",
-	"GET /metrics",
-}
-
 // Stats snapshots the service's observability state.
 func (s *Service) Stats() Stats {
 	now := time.Now()
@@ -109,12 +92,7 @@ func (s *Service) Stats() Stats {
 	if up := now.Sub(s.started).Nanoseconds(); up > 0 && s.workers > 0 {
 		st.Utilization = math.Min(1, float64(busy)/float64(up*int64(s.workers)))
 	}
-	st.Endpoints = make(map[string]metrics.HistSnapshot, len(s.endpoints))
-	for pat, h := range s.endpoints {
-		if h.Count() > 0 {
-			st.Endpoints[pat] = h.Snapshot()
-		}
-	}
+	st.Endpoints = s.endpoints.Snapshot()
 	st.Cache = s.cache.Stats()
 	return st
 }
