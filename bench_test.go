@@ -3,7 +3,9 @@
 // ns/op, allocs/op, and the simulated-events-per-second the engine
 // sustained; `go test -bench=. -benchmem` regenerates every row the
 // paper's evaluation reports (at reduced scale — cmd/occamy-sim runs
-// paper scale). cmd/occamy-bench snapshots the whole suite to JSON.
+// paper scale). BenchmarkScenarioCold times the service's simulation
+// path, scenario.Run, on catalog entries instead of a figure harness.
+// cmd/occamy-bench snapshots the whole suite to JSON.
 package occamy_test
 
 import (
@@ -12,6 +14,7 @@ import (
 	"occamy/internal/bm"
 	"occamy/internal/core"
 	"occamy/internal/experiments"
+	"occamy/internal/scenario"
 	"occamy/internal/sim"
 )
 
@@ -251,6 +254,38 @@ func BenchmarkAblationTokenGate(b *testing.B) {
 					b.Fatal("no burst sent")
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkScenarioCold runs scenario.Run — the simulation behind every
+// service request — on three of the service benchmark's cold catalog
+// entries at quick scale: a loaded fabric with one parked RTO timer per
+// live flow, a lossy fabric through the link-fault layer, and the demo
+// leaf-spine. It reports simulated events and switch-received packets
+// per wall second.
+func BenchmarkScenarioCold(b *testing.B) {
+	for _, name := range []string{"mixed-load-90", "flaky-tor-incast", "leafspine-demo"} {
+		sc, ok := scenario.Get(name)
+		if !ok {
+			b.Fatalf("no catalog entry %q", name)
+		}
+		spec := sc.SpecAt(scenario.ScaleQuick)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var events, rx float64
+			for i := 0; i < b.N; i++ {
+				res, err := scenario.Run(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += float64(res.Events)
+				rx += float64(res.Total.RxPackets)
+			}
+			if s := b.Elapsed().Seconds(); s > 0 {
+				b.ReportMetric(events/s, "events/sec")
+				b.ReportMetric(rx/s, "rxpkts/sec")
+			}
 		})
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"occamy/internal/bm"
 	"occamy/internal/core"
+	"occamy/internal/hw"
 	"occamy/internal/sim"
 )
 
@@ -29,6 +30,7 @@ type mockTM struct {
 	queues     [][]int // per-queue packet sizes, head first
 	thresholds []int
 	cellSize   int
+	backlog    *hw.Bitmap
 
 	now    sim.Time
 	events []mockEvent
@@ -48,7 +50,7 @@ type mockDrop struct {
 }
 
 func newMockTM(t *testing.T, cap int, queues [][]int, thresholds []int) *mockTM {
-	return &mockTM{t: t, cap: cap, queues: queues, thresholds: thresholds, cellSize: 200}
+	return &mockTM{t: t, cap: cap, queues: queues, thresholds: thresholds, cellSize: 200, backlog: hw.NewBitmap(len(queues))}
 }
 
 func (m *mockTM) NumQueues() int { return len(m.queues) }
@@ -64,6 +66,12 @@ func (m *mockTM) Threshold(q int) int {
 		return m.cap
 	}
 	return m.thresholds[q]
+}
+func (m *mockTM) Backlog() *hw.Bitmap {
+	for q, pkts := range m.queues {
+		m.backlog.Assign(q, len(pkts) > 0)
+	}
+	return m.backlog
 }
 func (m *mockTM) HeadPacketCells(q int) int {
 	if len(m.queues[q]) == 0 {

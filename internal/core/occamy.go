@@ -21,6 +21,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"occamy/internal/bm"
 	"occamy/internal/hw"
 	"occamy/internal/sim"
@@ -54,6 +56,10 @@ type TM interface {
 	QueueLen(q int) int
 	// Threshold returns the admission policy's current limit for q.
 	Threshold(q int) int
+	// Backlog returns a bitmap over the NumQueues queues whose bit q is
+	// set exactly while queue q holds a packet. An empty queue is never
+	// over-allocated, so the expulsion scan compares only these.
+	Backlog() *hw.Bitmap
 	// HeadPacketCells returns the buffer cells occupied by q's head
 	// packet, or 0 when q is empty.
 	HeadPacketCells(q int) int
@@ -161,6 +167,9 @@ func NewEngine(tm TM, cfg Config) *Engine {
 		arbiter: hw.NewRoundRobinArbiter(n),
 		tokens:  cfg.TokenBurst,
 	}
+	if tm.Backlog().Size() != n {
+		panic("core: backlog bitmap size mismatch")
+	}
 	if cfg.Victim == LongestQueue {
 		e.finder = hw.NewMaxFinder(n, 32)
 		e.lens = make([]int, n)
@@ -226,18 +235,23 @@ func (e *Engine) Kick() {
 }
 
 // refreshBitmap recomputes the over-allocation bitmap (the comparator
-// bank of Fig 9) and reports whether any bit is set.
+// bank of Fig 9) and reports whether any bit is set. Only backlogged
+// queues can be over, so it compares those, a bitmap word at a time.
 func (e *Engine) refreshBitmap() bool {
-	any := false
-	for q := 0; q < e.tm.NumQueues(); q++ {
-		// Thresholds are never negative, so an empty queue is never
-		// over and its threshold need not be computed.
-		qlen := e.tm.QueueLen(q)
-		over := qlen > 0 && qlen > e.tm.Threshold(q)
-		e.bitmap.Assign(q, over)
-		any = any || over
+	over := e.bitmap.Words()
+	var any uint64
+	for i, w := range e.tm.Backlog().Words() {
+		var o uint64
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			if q := i<<6 + b; e.tm.QueueLen(q) > e.tm.Threshold(q) {
+				o |= 1 << b
+			}
+		}
+		over[i] = o
+		any |= o
 	}
-	return any
+	return any != 0
 }
 
 // victim picks the queue to drop from per the configured policy.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"occamy/internal/bm"
+	"occamy/internal/hw"
 	"occamy/internal/sim"
 )
 
@@ -11,6 +13,7 @@ import (
 // byte counters with a per-queue packet size, thresholds are settable.
 type fakeTM struct {
 	eng        *sim.Engine
+	backlog    *hw.Bitmap
 	lens       []int
 	thresholds []int
 	pktBytes   int // every buffered packet is this size
@@ -21,6 +24,7 @@ type fakeTM struct {
 func newFakeTM(n int) *fakeTM {
 	return &fakeTM{
 		eng:        sim.NewEngine(),
+		backlog:    hw.NewBitmap(n),
 		lens:       make([]int, n),
 		thresholds: make([]int, n),
 		pktBytes:   1000,
@@ -33,6 +37,14 @@ func (f *fakeTM) QueueLen(q int) int              { return f.lens[q] }
 func (f *fakeTM) Threshold(q int) int             { return f.thresholds[q] }
 func (f *fakeTM) Now() sim.Time                   { return f.eng.Now() }
 func (f *fakeTM) After(d sim.Duration, fn func()) { f.eng.After(d, fn) }
+
+// Backlog marks the non-empty queues; tests set lens directly.
+func (f *fakeTM) Backlog() *hw.Bitmap {
+	for q, l := range f.lens {
+		f.backlog.Assign(q, l > 0)
+	}
+	return f.backlog
+}
 
 func (f *fakeTM) HeadPacketCells(q int) int {
 	if f.lens[q] == 0 {
@@ -82,6 +94,35 @@ func TestEngineExpelsOverAllocated(t *testing.T) {
 	st := e.Stats()
 	if st.ExpelledPackets != 3 || st.ExpelledBytes != 3000 {
 		t.Fatalf("stats = %+v, want 3 pkts / 3000 bytes", st)
+	}
+}
+
+// Expulsion reaches over-allocated queues in every bitmap word, drops
+// each exactly down to its threshold, and leaves the rest untouched.
+func TestEngineExpelsAcrossBitmapWords(t *testing.T) {
+	const n = 150 // three bitmap words, the last one partial
+	for _, victim := range []VictimPolicy{RoundRobin, LongestQueue} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			tm := newFakeTM(n)
+			r := sim.NewRand(seed)
+			want := make([]int, n)
+			wantDrops := 0
+			for q := 0; q < n; q++ {
+				if r.Intn(3) == 0 {
+					tm.lens[q] = 1000 * r.Intn(8)
+				}
+				tm.thresholds[q] = 1000 * r.Intn(4)
+				want[q] = min(tm.lens[q], tm.thresholds[q])
+				wantDrops += (tm.lens[q] - want[q]) / 1000
+			}
+			e := NewEngine(tm, Config{Victim: victim, TokenRate: 1e9, TokenBurst: 1000})
+			e.Kick()
+			tm.eng.Run()
+			if fmt.Sprint(tm.lens) != fmt.Sprint(want) || len(tm.drops) != wantDrops {
+				t.Fatalf("%v seed %d: %d drops leave lens\n%v\nwant %d drops leaving\n%v",
+					victim, seed, len(tm.drops), tm.lens, wantDrops, want)
+			}
+		}
 	}
 }
 

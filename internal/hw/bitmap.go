@@ -32,6 +32,11 @@ func NewBitmap(n int) *Bitmap {
 // Size returns the number of queues tracked.
 func (b *Bitmap) Size() int { return b.n }
 
+// Words exposes the bitmap as 64-bit words, queue i at bit i&63 of word
+// i>>6, for whole-word scans and updates. Bits at or beyond Size must
+// stay clear.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
 func (b *Bitmap) check(i int) {
 	if i < 0 || i >= b.n {
 		panic("hw: bitmap index out of range")

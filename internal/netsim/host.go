@@ -15,9 +15,11 @@ import (
 // rate and dispatches incoming packets to per-flow transport handlers.
 // It implements transport.Net, and sim.Handler for its own NIC events so
 // the per-packet serialization/delivery path schedules without closures.
+// Deliveries leave the wire in transmit order, so they queue on a lane.
 type Host struct {
-	ID  pkt.NodeID
-	eng *sim.Engine
+	ID   pkt.NodeID
+	eng  *sim.Engine
+	wire *sim.Lane
 
 	rateBps float64
 	prop    sim.Duration
@@ -37,7 +39,9 @@ const maxHostPrios = 8
 
 // NewHost builds a host; Wire must attach it to a switch before traffic.
 func NewHost(eng *sim.Engine, id pkt.NodeID) *Host {
-	return &Host{ID: id, eng: eng, pktIDs: new(uint64), handlers: make(map[uint64]transport.Handler)}
+	h := &Host{ID: id, eng: eng, pktIDs: new(uint64), handlers: make(map[uint64]transport.Handler)}
+	h.wire = eng.NewLane(h)
+	return h
 }
 
 // join makes h part of net: NewPacket draws from the network's packet
@@ -121,7 +125,7 @@ func (h *Host) trySend() {
 	// at the far end. Scheduling order keeps the tx-done event first when
 	// prop is zero, as the closure-based path did.
 	h.eng.AfterEvent(tx, h, nil)
-	h.eng.AfterEvent(tx+h.prop, h, p)
+	h.wire.After(tx+h.prop, p)
 }
 
 // OnEvent implements sim.Handler for the NIC's two per-packet events.

@@ -49,6 +49,42 @@ func BenchmarkEngineTimerRearm(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineParkedTimers models the event mix of a fabric run: one
+// RTO timer parked per live flow (1536 of them, each re-armed in place
+// every 1536 packets and almost never due) beside a packet stream whose
+// tx-done events go to the heap and whose deliveries queue on 16 lanes.
+// One op is one packet: a re-arm, a tx-done and a delivery.
+func BenchmarkEngineParkedTimers(b *testing.B) {
+	const (
+		flows = 1536
+		tx    = 100  // ns per packet
+		prop  = 1000 // ns on the wire
+		rto   = 10 * flows * tx
+	)
+	e := NewEngine()
+	h := &benchHandler{}
+	fn := func() {}
+	var lanes [16]*Lane
+	for i := range lanes {
+		lanes[i] = e.NewLane(h)
+	}
+	var timers [flows]Timer
+	for i := range timers {
+		timers[i] = e.ResetTimer(timers[i], rto, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % flows
+		timers[k] = e.ResetTimer(timers[k], rto, fn)
+		e.AfterEvent(tx, h, nil)
+		lanes[i&15].After(tx+prop, h)
+		e.RunFor(tx)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(e.Processed())/b.Elapsed().Seconds(), "events/sec")
+}
+
 type benchHandler struct{ n int }
 
 func (h *benchHandler) OnEvent(any) { h.n++ }

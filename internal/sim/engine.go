@@ -8,38 +8,52 @@
 //
 // # Engine architecture
 //
-// The event queue is a hand-rolled 4-ary min-heap stored in a flat
-// []event slice of value-type events — no per-event heap allocation and
-// no container/heap interface boxing. A 4-ary layout halves the tree
+// Pending events live in two hand-rolled 4-ary min-heaps of value-type
+// events — no per-event heap allocation and no container/heap interface
+// boxing — plus one FIFO ring per Lane. A 4-ary layout halves the tree
 // depth of a binary heap, turning pop's cache-missing parent-child
 // pointer chases into mostly-linear scans of four adjacent siblings;
 // push stays O(log4 n). Ordering is (timestamp, seq): seq is a
 // monotonically increasing scheduling counter, so same-timestamp events
-// fire in FIFO scheduling order.
+// fire in FIFO scheduling order. Each step fires the smaller of the two
+// heap tops, so the split changes no firing order, only heap sizes.
+//
+//   - The event heap holds closure events, typed events, and the head
+//     of every non-empty Lane.
+//   - The timer heap holds the entries of cancelable timers
+//     (AfterTimer/ResetTimer). A simulation parks one timer per live
+//     flow — the transport RTO — and almost none of them ever fire, so
+//     keeping them apart spares every packet event a sift through them.
+//   - A Lane queues the typed events of one Handler whose deadlines
+//     never decrease, such as the deliveries at the far end of one
+//     link. Only its head sits in the event heap; when the head fires,
+//     the next item replaces it with a single sift-down. A push earlier
+//     than the lane's newest item becomes an ordinary heap entry, so
+//     the order never depends on the caller keeping its promise.
 //
 // Events come in two flavors:
 //
 //   - Closure events (At/After/AfterTimer/ResetTimer/Every): the event
 //     carries a func(). Convenient, but each distinct capture allocates
 //     a closure at the call site.
-//   - Typed events (AtEvent/AfterEvent): the event carries a Handler
-//     interface plus an opaque arg. Hot paths (switch ports, host NICs)
-//     implement Handler once and schedule with zero allocations —
-//     storing a pointer in an `any` does not allocate.
+//   - Typed events (AtEvent/AfterEvent and Lane.At/After): the event
+//     carries a Handler interface plus an opaque arg. Hot paths (switch
+//     ports, host NICs) implement Handler once and schedule with zero
+//     allocations — storing a pointer in an `any` does not allocate.
 //
 // Timers live in a freelist of engine slots; a Timer handle is a value
 // (slot index + generation), so arming one performs no heap allocation.
 // The generation is bumped whenever the slot's heap entry is consumed or
 // the timer is re-armed, so Stop on a handle held after firing, slot
 // reuse or a re-arm harmlessly reports false. Stop cancels lazily: the
-// dead entry stays in the heap until its deadline and is then consumed
-// without running. A timer that is pushed back again and again — the
-// transport RTO, re-armed on every ACK — uses ResetTimer instead, which
-// keeps its one heap entry: the slot records the timer's current
-// (timestamp, seq) key, and when the entry reaches the top of the heap
-// under an older key it is re-pushed under the current one. Every event
-// popped before that sorts before the new key, so the firing order is
-// exactly that of Stop + AfterTimer, without the dead entries.
+// dead entry stays in the timer heap until its deadline and is then
+// consumed without running. A timer that is pushed back again and again
+// — the transport RTO, re-armed on every ACK — uses ResetTimer instead,
+// which keeps its one heap entry: the slot records the timer's current
+// (timestamp, seq) key, and when the entry reaches the top of the timer
+// heap under an older key it is re-keyed in place. Every event popped
+// before that sorts before the new key, so the firing order is exactly
+// that of Stop + AfterTimer, without the dead entries.
 package sim
 
 import (
@@ -122,10 +136,12 @@ type Handler interface {
 	OnEvent(arg any)
 }
 
-// event is a scheduled callback, stored by value in the heap slice. seq
+// event is a scheduled callback, stored by value in a heap slice. seq
 // breaks ties so that events at the same timestamp run in FIFO
-// scheduling order. Exactly one of fn/h is set. slot is the 1-based
-// timer-slot index for cancelable events, 0 otherwise.
+// scheduling order. Exactly one of fn/h is set. slot tags the entry: a
+// positive slot is the 1-based timer-slot index of a timer entry, a
+// negative one the 1-based index of the Lane whose head it is, and 0
+// marks a plain event.
 type event struct {
 	at   Time
 	seq  uint64
@@ -149,7 +165,7 @@ func evLess(a, b *event) bool {
 // is the timer's current deadline key and heapAt the timestamp of its
 // one heap entry; the entry's key lags (at, seq) after an in-place
 // ResetTimer until it reaches the top of the heap, and fn holds the
-// re-armed callback until the entry is re-pushed with it.
+// re-armed callback until the entry is re-keyed with it.
 type timerSlot struct {
 	gen      uint64
 	at       Time
@@ -166,9 +182,10 @@ type Stats struct {
 	// without running.
 	CanceledPops uint64
 	// Requeues counts entries of timers re-armed in place that reached
-	// the top of the heap under an older key and were re-pushed.
+	// the top of the heap under an older key and were re-keyed.
 	Requeues uint64
-	// PeakPending is the largest number of heap entries held at once.
+	// PeakPending is the largest number of events pending at once: heap
+	// entries (dead timer entries included) plus queued lane items.
 	PeakPending int
 }
 
@@ -179,12 +196,15 @@ type Stats struct {
 type Engine struct {
 	now       Time
 	seq       uint64
-	events    []event // 4-ary min-heap
+	events    evHeap // plain events and lane heads
+	timers    evHeap // timer entries
+	pending   int    // heap entries plus lane items behind their heads
 	processed uint64
 	stopped   bool
 
 	slots     []timerSlot
 	freeSlots []int32
+	lanes     []*Lane // indexed by -slot-1 of a lane-head entry
 
 	stats Stats
 }
@@ -198,7 +218,7 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of scheduled events that have not yet fired.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.pending }
 
 // Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -206,16 +226,24 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Stats returns the queue housekeeping counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
+// added counts one newly scheduled event toward Pending and its peak.
+func (e *Engine) added() {
+	e.pending++
+	if e.pending > e.stats.PeakPending {
+		e.stats.PeakPending = e.pending
+	}
+}
+
 // --- 4-ary heap ------------------------------------------------------------
 
+// evHeap is a 4-ary min-heap of events under evLess.
+type evHeap []event
+
 // push appends ev and restores the heap property by sifting up.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	s := e.events
+func (h *evHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
 	i := len(s) - 1
-	if i >= e.stats.PeakPending {
-		e.stats.PeakPending = i + 1
-	}
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !evLess(&ev, &s[p]) {
@@ -228,42 +256,47 @@ func (e *Engine) push(ev event) {
 }
 
 // pop removes and returns the earliest event.
-func (e *Engine) pop() event {
-	s := e.events
+func (h *evHeap) pop() event {
+	s := *h
 	root := s[0]
 	n := len(s) - 1
 	last := s[n]
 	s[n] = event{} // release fn/h/arg references
-	e.events = s[:n]
+	*h = s[:n]
 	if n > 0 {
-		// Sift last down from the root: at each level pick the smallest
-		// of up to four adjacent children.
-		s = e.events
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for k := c + 1; k < end; k++ {
-				if evLess(&s[k], &s[m]) {
-					m = k
-				}
-			}
-			if !evLess(&s[m], &last) {
-				break
-			}
-			s[i] = s[m]
-			i = m
-		}
-		s[i] = last
+		h.replaceTop(last)
 	}
 	return root
+}
+
+// replaceTop overwrites the earliest event with ev and sifts it down:
+// at each level it picks the smallest of up to four adjacent children.
+func (h evHeap) replaceTop(ev event) {
+	s := h
+	n := len(s)
+	i := 0
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for k := c + 1; k < end; k++ {
+			if evLess(&s[k], &s[m]) {
+				m = k
+			}
+		}
+		if !evLess(&s[m], &ev) {
+			break
+		}
+		s[i] = s[m]
+		i = m
+	}
+	s[i] = ev
 }
 
 // --- Scheduling ------------------------------------------------------------
@@ -275,7 +308,8 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.added()
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -294,7 +328,8 @@ func (e *Engine) AtEvent(t Time, h Handler, arg any) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, h: h, arg: arg})
+	e.events.push(event{at: t, seq: e.seq, h: h, arg: arg})
+	e.added()
 }
 
 // AfterEvent schedules h.OnEvent(arg) d nanoseconds from now.
@@ -352,7 +387,8 @@ func (e *Engine) AfterTimer(d Duration, fn func()) Timer {
 	sl := &e.slots[si]
 	sl.gen++
 	sl.at, sl.seq, sl.heapAt, sl.canceled = at, e.seq, at, false
-	e.push(event{at: at, seq: e.seq, fn: fn, slot: si + 1})
+	e.timers.push(event{at: at, seq: e.seq, fn: fn, slot: si + 1})
+	e.added()
 	return Timer{e: e, slot: si, gen: sl.gen, at: at}
 }
 
@@ -383,42 +419,37 @@ func (e *Engine) ResetTimer(t Timer, d Duration, fn func()) Timer {
 // Stop halts Run/RunUntil after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step executes the earliest pending event. It reports false when the
-// queue is empty or the engine was stopped.
+// step executes the earliest pending event: the smaller of the two heap
+// tops. It reports false when nothing is pending at or before limit or
+// the engine was stopped.
 func (e *Engine) step(limit Time) bool {
-	if e.stopped || len(e.events) == 0 {
+	if e.stopped {
 		return false
 	}
-	if e.events[0].at > limit {
+	if len(e.timers) > 0 && (len(e.events) == 0 || evLess(&e.timers[0], &e.events[0])) {
+		if e.timers[0].at > limit {
+			return false
+		}
+		return e.stepTimer()
+	}
+	if len(e.events) == 0 || e.events[0].at > limit {
 		return false
 	}
-	ev := e.pop()
-	if ev.slot > 0 {
-		sl := &e.slots[ev.slot-1]
-		if ev.seq != sl.seq && !sl.canceled {
-			// Re-armed in place since this entry was pushed: move it to
-			// the timer's current key. The clock stays put and nothing
-			// runs — the entry is not an event of its own.
-			e.stats.Requeues++
-			sl.heapAt = sl.at
-			e.push(event{at: sl.at, seq: sl.seq, fn: sl.fn, slot: ev.slot})
-			sl.fn = nil
-			return true
+	var ev event
+	if tag := e.events[0].slot; tag < 0 {
+		// A lane head: the lane's next item, if any, takes its place.
+		ev = e.events[0]
+		l := e.lanes[-tag-1]
+		if l.n > 0 {
+			e.events.replaceTop(l.next())
+		} else {
+			e.events.pop()
+			l.armed = false
 		}
-		canceled := sl.canceled
-		// Consuming the entry retires the slot: bump the generation so a
-		// later Stop (including from inside the callback) reports false,
-		// then recycle the slot.
-		sl.gen++
-		sl.canceled = false
-		e.freeSlots = append(e.freeSlots, ev.slot-1)
-		if canceled {
-			sl.fn = nil // set if it was re-armed in place before Stop
-			e.now = ev.at
-			e.stats.CanceledPops++
-			return true // canceled timer: consume silently
-		}
+	} else {
+		ev = e.events.pop()
 	}
+	e.pending--
 	e.now = ev.at
 	e.processed++
 	if ev.h != nil {
@@ -426,6 +457,40 @@ func (e *Engine) step(limit Time) bool {
 	} else {
 		ev.fn()
 	}
+	return true
+}
+
+// stepTimer consumes the top of the timer heap, the earliest pending
+// event.
+func (e *Engine) stepTimer() bool {
+	top := &e.timers[0]
+	sl := &e.slots[top.slot-1]
+	if top.seq != sl.seq && !sl.canceled {
+		// Re-armed in place since this entry was pushed: move it to the
+		// timer's current key. The clock stays put and nothing runs —
+		// the entry is not an event of its own.
+		e.stats.Requeues++
+		sl.heapAt = sl.at
+		e.timers.replaceTop(event{at: sl.at, seq: sl.seq, fn: sl.fn, slot: top.slot})
+		sl.fn = nil
+		return true
+	}
+	ev := e.timers.pop()
+	e.pending--
+	e.now = ev.at
+	// Consuming the entry retires the slot: bump the generation so a
+	// later Stop (including from inside the callback) reports false,
+	// then recycle the slot.
+	sl.gen++
+	e.freeSlots = append(e.freeSlots, ev.slot-1)
+	if sl.canceled {
+		sl.canceled = false
+		sl.fn = nil // set if it was re-armed in place before Stop
+		e.stats.CanceledPops++
+		return true // canceled timer: consume silently
+	}
+	e.processed++
+	ev.fn()
 	return true
 }
 
@@ -479,4 +544,92 @@ func (e *Engine) Every(start Duration, period Duration, fn func()) *Ticker {
 	}
 	e.After(start, tick)
 	return tk
+}
+
+// --- Lanes -----------------------------------------------------------------
+
+// Lane is a FIFO of typed events for one Handler whose deadlines never
+// decrease, such as the deliveries at the far end of one link. Items
+// fire in exactly the order AtEvent would give them, but only the
+// lane's head occupies an event-heap entry: the rest wait in a ring and
+// each replaces the head as it fires, at the cost of one sift-down.
+// A Lane lives as long as its engine.
+type Lane struct {
+	e     *Engine
+	h     Handler
+	tag   int32 // slot tag of the lane's head entry
+	armed bool  // the head is in the event heap
+	tail  Time  // deadline of the newest item handed to the lane
+
+	ring []laneItem // items behind the head; len is a power of two
+	head int
+	n    int
+}
+
+// laneItem is a queued lane event; the handler is the lane's.
+type laneItem struct {
+	at  Time
+	seq uint64
+	arg any
+}
+
+// NewLane returns an empty lane whose events run h.OnEvent(arg).
+func (e *Engine) NewLane(h Handler) *Lane {
+	l := &Lane{e: e, h: h}
+	e.lanes = append(e.lanes, l)
+	l.tag = -int32(len(e.lanes))
+	return l
+}
+
+// At schedules h.OnEvent(arg) at absolute time t, firing exactly as
+// AtEvent(t, h, arg) would. A t earlier than the lane's newest item
+// still fires in order, as an ordinary heap entry.
+func (l *Lane) At(t Time, arg any) {
+	e := l.e
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	e.seq++
+	switch {
+	case !l.armed:
+		l.armed, l.tail = true, t
+		e.events.push(event{at: t, seq: e.seq, h: l.h, arg: arg, slot: l.tag})
+	case t >= l.tail:
+		l.tail = t
+		if l.n == len(l.ring) {
+			l.grow()
+		}
+		l.ring[(l.head+l.n)&(len(l.ring)-1)] = laneItem{at: t, seq: e.seq, arg: arg}
+		l.n++
+	default:
+		e.events.push(event{at: t, seq: e.seq, h: l.h, arg: arg})
+	}
+	e.added()
+}
+
+// After schedules h.OnEvent(arg) d nanoseconds from now.
+func (l *Lane) After(d Duration, arg any) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %d", int64(d)))
+	}
+	l.At(l.e.now+d, arg)
+}
+
+// next dequeues the item behind the head as the lane's new head entry.
+func (l *Lane) next() event {
+	it := &l.ring[l.head]
+	ev := event{at: it.at, seq: it.seq, h: l.h, arg: it.arg, slot: l.tag}
+	*it = laneItem{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return ev
+}
+
+// grow doubles the ring, unwrapping the queued items to its front.
+func (l *Lane) grow() {
+	ring := make([]laneItem, max(8, 2*len(l.ring)))
+	for i := 0; i < l.n; i++ {
+		ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+	}
+	l.ring, l.head = ring, 0
 }

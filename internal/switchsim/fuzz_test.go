@@ -41,7 +41,8 @@ func allPolicies(eng *sim.Engine) []struct {
 
 // TestAllPoliciesSoak pushes randomized traffic through every policy and
 // checks the system invariants that must hold regardless of scheme:
-// packet conservation, cell conservation, and non-negative queues.
+// packet conservation, cell conservation, non-negative queues, and a
+// backlog bitmap that marks exactly the non-empty queues.
 func TestAllPoliciesSoak(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		eng := sim.NewEngine()
@@ -91,9 +92,11 @@ func TestAllPoliciesSoak(t *testing.T) {
 							Priority:   r.Intn(2),
 							ECNCapable: r.Intn(2) == 0,
 						})
+						checkBacklog(t, sw)
 					})
 				}
 				eng.Run()
+				checkBacklog(t, sw)
 				sw.Pool().CheckInvariants()
 				st := sw.Stats()
 				if st.TxPackets+st.Drops()+st.DropsExpelled != st.RxPackets {
@@ -108,6 +111,17 @@ func TestAllPoliciesSoak(t *testing.T) {
 					t.Fatalf("occupancy %d after drain", sw.Occupancy())
 				}
 			})
+		}
+	}
+}
+
+// checkBacklog asserts that the backlog bitmap the expulsion scan reads
+// marks exactly the non-empty queues.
+func checkBacklog(t *testing.T, sw *Switch) {
+	t.Helper()
+	for q := 0; q < sw.NumQueues(); q++ {
+		if got, want := sw.Backlog().Get(q), sw.QueueLen(q) > 0; got != want {
+			t.Fatalf("backlog bit %d = %v, queue holds %d bytes", q, got, sw.QueueLen(q))
 		}
 	}
 }

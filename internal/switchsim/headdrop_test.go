@@ -42,3 +42,37 @@ func TestHeadDropSurvivesRecyclingHook(t *testing.T) {
 		t.Fatalf("HeadDrop reported %d cells, want %d", cells, want)
 	}
 }
+
+// A queue that head-drops its last packet leaves the backlog bitmap,
+// and rejoins it on the next enqueue.
+func TestHeadDropClearsBacklog(t *testing.T) {
+	eng := sim.NewEngine()
+	occ := core.Config{Alpha: 8}
+	sw := New("hd", eng, Config{
+		Ports: 2, ClassesPerPort: 1, BufferBytes: 64_000,
+		Policy: core.New(occ), Occamy: &occ,
+	})
+	for i := 0; i < 2; i++ {
+		sw.AttachPort(i, 1e9, 0, func(*pkt.Packet) {})
+	}
+	sw.SetRouter(func(p *pkt.Packet) int { return int(p.Dst) })
+
+	for i := 0; i < 3; i++ { // the first goes straight onto the link
+		sw.Receive(&pkt.Packet{ID: uint64(i + 1), Dst: 0, Size: 1000})
+	}
+	for i := 0; i < 2; i++ {
+		if !sw.Backlog().Get(0) {
+			t.Fatalf("backlog bit clear with %d bytes queued", sw.QueueLen(0))
+		}
+		if _, _, ok := sw.HeadDrop(0); !ok {
+			t.Fatal("HeadDrop failed on a backlogged queue")
+		}
+	}
+	if sw.Backlog().Get(0) || sw.Backlog().Get(1) {
+		t.Fatal("backlog bit set after the queue head-dropped its last packet")
+	}
+	sw.Receive(&pkt.Packet{ID: 4, Dst: 0, Size: 1000})
+	if !sw.Backlog().Get(0) {
+		t.Fatal("backlog bit clear after an enqueue")
+	}
+}

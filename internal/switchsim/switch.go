@@ -12,6 +12,7 @@ import (
 	"occamy/internal/bm"
 	"occamy/internal/cellmem"
 	"occamy/internal/core"
+	"occamy/internal/hw"
 	"occamy/internal/pkt"
 	"occamy/internal/sim"
 )
@@ -130,13 +131,15 @@ type classQueue struct {
 // port is one egress port: a link (rate + propagation + sink) and the
 // per-class queues. It implements sim.Handler for its two per-packet
 // events — tx-done (nil arg) and far-end delivery (*pkt.Packet arg) — so
-// the transmit path schedules without closure allocations.
+// the transmit path schedules without closure allocations. Deliveries
+// leave the wire in transmit order, so they queue on the port's lane.
 type port struct {
 	id      int
 	sw      *Switch
 	rateBps float64
 	prop    sim.Duration
 	sink    func(*pkt.Packet)
+	wire    *sim.Lane
 	busy    bool
 	classes []*classQueue
 	sched   scheduler
@@ -162,6 +165,7 @@ type Switch struct {
 	pool     *cellmem.Pool
 	ports    []*port
 	flat     []*classQueue // all queues, indexed port*ClassesPerPort+class
+	backlog  *hw.Bitmap    // bit q set while flat[q] holds a packet
 	policy   bm.Policy
 	preempt  core.Preemptor      // non-nil when policy can make room at admission
 	preemptQ core.QueuePreemptor // arrival-queue-aware variant (POT, QPO)
@@ -222,6 +226,7 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 	s.ports = make([]*port, cfg.Ports)
 	for i := range s.ports {
 		pt := &port{id: i, sw: s, sched: newScheduler(cfg.Scheduler, cfg.ClassesPerPort, cfg.DRRQuantum)}
+		pt.wire = eng.NewLane(pt)
 		pt.classes = make([]*classQueue, cfg.ClassesPerPort)
 		for c := range pt.classes {
 			cq := &classQueue{
@@ -234,6 +239,7 @@ func New(name string, eng *sim.Engine, cfg Config) *Switch {
 		}
 		s.ports[i] = pt
 	}
+	s.backlog = hw.NewBitmap(len(s.flat))
 	return s
 }
 
@@ -372,6 +378,9 @@ func (s *Switch) DequeueRate(q int) float64 {
 // Threshold implements core.TM: the admission policy's current limit.
 func (s *Switch) Threshold(q int) int { return s.policy.Threshold(s, q) }
 
+// Backlog implements core.TM: the bitmap of non-empty queues.
+func (s *Switch) Backlog() *hw.Bitmap { return s.backlog }
+
 // HeadPacketCells implements core.TM.
 func (s *Switch) HeadPacketCells(q int) int {
 	cq := s.flat[q]
@@ -396,6 +405,9 @@ func (s *Switch) HeadDrop(q int) (int, int, bool) {
 	n, id, ok := cq.cells.HeadDrop()
 	if !ok || id != p.ID || n != size {
 		panic(fmt.Sprintf("switchsim: PD/meta desync on head-drop: got (%d,%d), want (%d,%d)", n, id, size, p.ID))
+	}
+	if cq.meta.len() == 0 {
+		s.backlog.Clear(q)
 	}
 	s.totalBytes -= size
 	s.stats.DropsExpelled++
@@ -472,6 +484,7 @@ func (s *Switch) Receive(p *pkt.Packet) {
 	}
 	cq.cells.Enqueue(ref)
 	cq.meta.push(p)
+	s.backlog.Set(q)
 	s.totalBytes += p.Size
 	s.memBW.add(s.eng.Now(), s.pool.CellsFor(p.Size)) // cell writes
 
@@ -521,6 +534,10 @@ func (s *Switch) tryTransmit(pt *port) {
 	if !ok || id != p.ID || n != p.Size {
 		panic(fmt.Sprintf("switchsim: PD/meta desync on dequeue: got (%d,%d), want (%d,%d)", n, id, p.Size, p.ID))
 	}
+	q := s.qindex(pt.id, class)
+	if cq.meta.len() == 0 {
+		s.backlog.Clear(q)
+	}
 	s.totalBytes -= p.Size
 	now := s.eng.Now()
 	cells := s.pool.CellsFor(p.Size)
@@ -534,7 +551,7 @@ func (s *Switch) tryTransmit(pt *port) {
 	ps := &s.portStats[pt.id]
 	ps.TxPackets++
 	ps.TxBytes += int64(p.Size)
-	qs := &s.queueStats[s.qindex(pt.id, class)]
+	qs := &s.queueStats[q]
 	qs.TxPackets++
 	qs.TxBytes += int64(p.Size)
 
@@ -546,7 +563,7 @@ func (s *Switch) tryTransmit(pt *port) {
 	// Two typed events per packet instead of two closures: tx-done first,
 	// delivery second (same relative order when prop is zero).
 	s.eng.AfterEvent(txTime, pt, nil)
-	s.eng.AfterEvent(txTime+pt.prop, pt, p)
+	pt.wire.After(txTime+pt.prop, p)
 }
 
 // MemBandwidthUtilization returns the fraction of the switch's aggregate
